@@ -31,7 +31,7 @@ from .criteria import (
     prop_sum,
     theorem_sum,
 )
-from .digits import BaseSpec, multi_base_profile, render_digit_grid, to_digits
+from .digits import BaseSpec, large_digit_count, multi_base_profile, render_digit_grid, to_digits
 from .equidist import (
     ExponentSystem,
     bad_n_census,
@@ -77,16 +77,6 @@ def _rational(text: str) -> Fraction:
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a valid rational") from exc
-
-
-def _rational_or_float(text: str):
-    try:
-        return _rational(text)
-    except argparse.ArgumentTypeError:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -597,15 +587,9 @@ def _cmd_search(args) -> int:
             max_candidates=args.max_candidates, checkpoint_every=args.checkpoint_every,
         )
     else:
-        hits = multi_base_search(search, budget=args.budget, threads=args.threads)
+        hits = multi_base_search(search, budget=args.budget)
     if args.drop_zero:
         hits = [n for n in hits if n != 0]
-    shown = hits if args.all else hits[:20]
-    print(f"{len(hits)} hits below {args.limit}" + ("" if finished else " so far (not finished)"))
-    for n in shown:
-        print(f"  {n} = " + " = ".join(to_digits(n, s.g).render() for s in specs))
-    if len(shown) < len(hits):
-        print(f"  ... ({len(hits) - len(shown)} more)")
     profile_header = ["n"]
     for s in specs:
         profile_header += [f"digits_{s.g}", f"large_{s.g}"]
@@ -613,10 +597,14 @@ def _cmd_search(args) -> int:
     for n in hits:
         row = [str(n)]
         for s in specs:
-            row += [to_digits(n, s.g).render(), sum(
-                1 for d in to_digits(n, s.g).digits if s.is_large(d)
-            )]
+            row += [to_digits(n, s.g).render(), large_digit_count(n, s)]
         rows.append(row)
+    shown = rows if args.all else rows[:20]
+    print(f"{len(hits)} hits below {args.limit}" + ("" if finished else " so far (not finished)"))
+    for row in shown:
+        print(f"  {row[0]} = " + " = ".join(row[1::2]))
+    if len(shown) < len(hits):
+        print(f"  ... ({len(hits) - len(shown)} more)")
     result = {
         "search": search.to_json_dict(),
         "count": len(hits),
@@ -760,11 +748,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bases", type=_int_list)
     p.add_argument("--specs", type=_spec_list)
     p.add_argument("--limit", type=int, required=True, help="exclusive upper bound")
-    p.add_argument("--driver-base", type=int, help="which base drives the odometer")
+    p.add_argument("--driver-base", type=int, help="which base's small digits drive the search")
     p.add_argument("--drop-zero", action="store_true", help="omit the trivial hit 0")
     p.add_argument("--all", action="store_true", help="print every hit")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=10**7,
+                   help="maximum number of digit-tree nodes visited")
     p.add_argument("--checkpoint", metavar="PATH", help="resumable: checkpoint file")
     p.add_argument("--hits", metavar="PATH", help="resumable: hits file")
     p.add_argument("--max-candidates", type=int)

@@ -28,13 +28,22 @@ _FIXED_BITS = 256
 _FRAC_ERR_BUDGET = 1e-12
 
 
+def _integer_root(g: int, m: int) -> int:
+    """floor(g^(1/m)) for g >= 1, m >= 1, by Newton's method on integers."""
+    x = 1 << -(-g.bit_length() // m)  # 2^ceil(bits/m) > g^(1/m)
+    while True:
+        y = ((m - 1) * x + g // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
 def _primitive_power_base(g: int) -> int:
     """Smallest c with g = c^m for some m >= 1."""
     for m in range(g.bit_length(), 1, -1):
-        c = round(g ** (1.0 / m))
-        for cand in (c - 1, c, c + 1):
-            if cand >= 2 and cand**m == g:
-                return cand
+        c = _integer_root(g, m)
+        if c >= 2 and c**m == g:
+            return c
     return g
 
 

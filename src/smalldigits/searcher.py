@@ -4,8 +4,12 @@ bases, with checkpoint/resume support and density reporting.
 The single-base stream never filters: the m-th integer with all base-g
 digits below the threshold is m written in base a = ceil(kappa*g) and
 re-read in base g, which is an order-preserving bijection. Multi-base
-search streams the base with the smallest restricted alphabet and filters
-the candidates through the remaining bases.
+search walks a tree over the small digits of one driver base (by default
+the one with the smallest alphabet), most significant digit first, and
+prunes a subtree as soon as a digit that all of its integers share in
+another base is large; its cost follows the number of hits rather than the
+number of driver candidates. The checkpointed campaign still streams the
+driver odometer and filters each candidate.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -101,56 +104,53 @@ def enumerate_small(spec: BaseSpec, limit: int, budget: Optional[int] = None) ->
         m += 1
 
 
-def _scan_range(search: SearchSpec, m_lo: int, m_hi: int, budget: Optional[int]) -> list[int]:
-    """Hits whose driver odometer index lies in [m_lo, m_hi)."""
-    d = search.resolved_driver()
-    driver = search.specs[d]
-    others = [s for i, s in enumerate(search.specs) if i != d]
-    a = driver.alphabet_size
+def multi_base_search(search: SearchSpec, budget: Optional[int] = None) -> list[int]:
+    """All n in [0, limit) small in every base, ascending.
+
+    Depth-first walk over the driver base's small digits, most significant
+    first. A node with prefix value lo and k free low digits covers
+    [lo, lo + a_max*(g^k - 1)/(g - 1)], clipped to the limit. In every
+    other base h, the digits that both ends of that interval share (found
+    by dividing both by h until they agree) are the same for every n in it,
+    so one large digit among them prunes the subtree. At a leaf the interval
+    is a single integer and every digit is checked. budget caps the number
+    of nodes visited; exceeding it raises.
+    """
+    driver = search.specs[search.resolved_driver()]
+    # a base with kappa = 1 has no large digit and can never prune
+    others = [s for s in search.specs if s.g != driver.g and s.alphabet_size < s.g]
+    g, top = driver.g, driver.max_small_digit
+    last = search.limit - 1
+    depth = len(to_digits(last, g))
+    powers = [g**k for k in range(depth + 1)]
+    # spans[k]: the largest value k free driver digits can add
+    spans = [top * (p - 1) // (g - 1) for p in powers]
     hits = []
-    scanned = 0
-    for m in range(m_lo, m_hi):
-        n = _remap(m, a, driver.g)
-        if n >= search.limit:
-            break
-        if budget is not None and scanned >= budget:
+    visited = 0
+    stack = [(0, depth)]
+    while stack:
+        lo, k = stack.pop()
+        if budget is not None and visited >= budget:
             raise BudgetExceededError(f"search budget {budget} exhausted")
-        scanned += 1
-        if all(large_digit_count(n, s) == 0 for s in others):
-            hits.append(n)
+        visited += 1
+        hi = min(lo + spans[k], last)
+        for s in others:
+            h = s.g
+            x, y = lo, hi
+            while x != y:
+                x //= h
+                y //= h
+            if x and large_digit_count(x, s):
+                break
+        else:
+            if k == 0:
+                hits.append(lo)
+                continue
+            # push children in descending digit order so they pop ascending
+            step = powers[k - 1]
+            for d in range(min(top, (last - lo) // step), -1, -1):
+                stack.append((lo + d * step, k - 1))
     return hits
-
-
-def _driver_index_bound(search: SearchSpec) -> int:
-    """a^D where D bounds the driver digit length of any candidate."""
-    driver = search.specs[search.resolved_driver()]
-    digits = len(to_digits(search.limit - 1, driver.g)) if search.limit > 1 else 1
-    return driver.alphabet_size ** max(digits, 1)
-
-
-def multi_base_search(search: SearchSpec, budget: Optional[int] = None, threads: int = 1) -> list[int]:
-    """All n in [0, limit) small in every base, ascending. Deterministic and
-    independent of thread count: the odometer space partitions by leading
-    driver digit and partial hit lists concatenate in prefix order."""
-    driver = search.specs[search.resolved_driver()]
-    a = driver.alphabet_size
-    if a == 1:
-        n = 0
-        if all(large_digit_count(n, s) == 0 for s in search.specs):
-            return [n]
-        return []
-    if threads <= 1:
-        return _scan_range(search, 0, _driver_index_bound(search), budget)
-    total = _driver_index_bound(search)
-    block = total // a
-    ranges = [(p * block, (p + 1) * block) for p in range(a)]
-    ranges[-1] = (ranges[-1][0], total)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda r: _scan_range(search, r[0], r[1], budget), ranges))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
 
 
 # --- checkpointed search ---------------------------------------------------

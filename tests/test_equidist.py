@@ -25,10 +25,24 @@ from smalldigits import (
     power_sum_norm,
     power_sum_separation_check,
 )
+from smalldigits.equidist import _primitive_power_base
 
 
 def _sys(bases, ell, L, zetas=()):
     return ExponentSystem(tuple(bases), ell, L, zetas)
+
+
+# --- exponent systems -----------------------------------------------------------
+
+
+def test_primitive_power_base_is_exact_for_huge_bases():
+    assert _primitive_power_base(10**400) == 10
+    assert _primitive_power_base(2**4000) == 2
+    assert _primitive_power_base(6**50) == 6
+    assert _primitive_power_base(10007) == 10007
+    assert [_primitive_power_base(g) for g in (2, 4, 8, 9, 12, 36, 1000)] == [2, 2, 2, 3, 12, 6, 10]
+    with pytest.raises(ValueError):
+        _sys([10, 10**400], 3, 3)
 
 
 # --- fractional parts ----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The master oracle is the brute-force filter: walk every integer below the
 limit and keep those whose digits are all small in every base. The odometer
-enumerator must agree with it exactly, at every tested limit.
+enumerator must agree with it exactly, at every tested limit. The pruned
+digit-tree search is also checked against the odometer scan it replaced,
+kept here as a reference where both can run.
 """
 
 import json
@@ -11,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalldigits import (
     BaseSpec,
@@ -20,6 +24,7 @@ from smalldigits import (
     enumerate_small,
     graham_census,
     graham_split,
+    large_digit_count,
     multi_base_search,
     resumable_search,
     to_digits,
@@ -39,6 +44,17 @@ def brute_force_hits(specs, limit):
         ):
             out.append(n)
     return out
+
+
+def odometer_hits(search):
+    """The driver odometer filter: remap every driver-small candidate below
+    the limit and keep those small in every other base."""
+    driver = search.specs[search.resolved_driver()]
+    others = [s for s in search.specs if s.g != driver.g]
+    return [
+        n for n in enumerate_small(driver, search.limit)
+        if all(large_digit_count(n, s) == 0 for s in others)
+    ]
 
 
 # --- single-base enumeration ----------------------------------------------------
@@ -115,10 +131,44 @@ def test_driver_override_same_hits():
     assert multi_base_search(SearchSpec(specs, 30_000, driver=1)) == expected
 
 
-def test_threads_do_not_change_output():
-    specs = (BaseSpec(3, HALF), BaseSpec(5, HALF))
-    expected = multi_base_search(SearchSpec(specs, 50_000))
-    assert multi_base_search(SearchSpec(specs, 50_000), threads=3) == expected
+@st.composite
+def search_specs(draw):
+    bases = draw(st.lists(st.integers(2, 16), min_size=1, max_size=4, unique=True))
+    specs = tuple(BaseSpec(g, Fraction(draw(st.integers(1, g)), g)) for g in bases)
+    driver = draw(st.one_of(st.none(), st.integers(0, len(specs) - 1)))
+    return SearchSpec(specs, draw(st.integers(1, 30_000)), driver)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(search_specs())
+def test_pruned_search_equals_odometer(search):
+    assert multi_base_search(search) == odometer_hits(search)
+
+
+def test_pruned_search_matches_odometer_on_anchor_specs():
+    cases = [
+        ([(3, HALF), (5, HALF), (7, HALF)], 3 * 10**5),
+        ([(3, HALF), (5, Fraction(2, 5)), (7, Fraction(3, 7))], 3 * 10**5),
+        ([(3, Fraction(1)), (7, Fraction(4, 7))], 5 * 10**4),
+        ([(5, Fraction(2, 5)), (7, Fraction(3, 7))], 10**6),
+    ]
+    for pairs, limit in cases:
+        specs = tuple(BaseSpec(g, k) for g, k in pairs)
+        for driver in range(len(specs)):
+            search = SearchSpec(specs, limit, driver)
+            assert multi_base_search(search) == odometer_hits(search)
+
+
+def test_pruned_search_reaches_far_beyond_the_odometer():
+    # about 4*10^12 driver candidates lie below 10^20; the digit tree
+    # visits a few thousand nodes
+    specs = tuple(BaseSpec(p, HALF) for p in (3, 5, 7))
+    hits = multi_base_search(SearchSpec(specs, 10**20), budget=10**4)
+    assert len(hits) == 62
+    assert hits == sorted(set(hits))
+    assert hits[:5] == [0, 1, 10, 756, 757]
+    assert all(graham_split(n, (3, 5, 7)).n2 == 1 for n in hits if n)
+    assert all(large_digit_count(n, s) == 0 for n in hits for s in specs)
 
 
 def test_search_budget_exhausts():
