@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .constructors import BlockConfig, block_construct, egrs_construct, stability_check
@@ -119,10 +119,6 @@ def _resolve_specs(args, default: str = "3:1/2,5:1/2,7:1/2") -> tuple[BaseSpec, 
     return _spec_list(default)
 
 
-def _spec_params(specs: Sequence[BaseSpec]) -> list[dict]:
-    return [{"g": s.g, "kappa": str(s.kappa)} for s in specs]
-
-
 # --- manifest and output plumbing ---------------------------------------------
 
 
@@ -144,18 +140,15 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _write_outputs(args, subcommand, params, result, csv_header, csv_rows, wall) -> None:
-    if not args.out:
-        return
+def _write_outputs(out_dir, subcommand, params, result, csv_header, csv_rows, wall) -> None:
     run_hash = _manifest_hash(subcommand, params)
-    run_dir = os.path.join(args.out, subcommand, run_hash)
+    run_dir = os.path.join(out_dir, subcommand, run_hash)
     os.makedirs(run_dir, exist_ok=True)
     manifest = {
         "subcommand": subcommand,
         "params": params,
         "hash": run_hash,
         "version": __version__,
-        "threads": getattr(args, "threads", 1),
         "wall_time_s": wall,
     }
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
@@ -169,14 +162,26 @@ def _write_outputs(args, subcommand, params, result, csv_header, csv_rows, wall)
     print(f"wrote {run_dir}/{{manifest.json,result.json,result.csv}}")
 
 
-def _dry_run(subcommand: str, params: dict) -> int:
-    manifest = {
-        "subcommand": subcommand,
-        "params": params,
-        "hash": _manifest_hash(subcommand, params),
-    }
-    sys.stdout.write(_canonical(manifest))
-    return EXIT_OK
+def _run(args, params: dict, body: Callable[[], tuple]) -> int:
+    """The one run path of every subcommand. With --dry-run, print the
+    manifest and compute nothing. Otherwise time body(), which prints its
+    report and returns (result, csv_header, csv_rows, exit_code), write the
+    output files when --out is given, and return the exit code."""
+    subcommand = args.subcommand
+    if args.dry_run:
+        manifest = {
+            "subcommand": subcommand,
+            "params": params,
+            "hash": _manifest_hash(subcommand, params),
+        }
+        sys.stdout.write(_canonical(manifest))
+        return EXIT_OK
+    started = time.perf_counter()
+    result, csv_header, csv_rows, exit_code = body()
+    if args.out:
+        _write_outputs(args.out, subcommand, params, result, csv_header, csv_rows,
+                       time.perf_counter() - started)
+    return exit_code
 
 
 # --- subcommand handlers -------------------------------------------------------
@@ -184,57 +189,44 @@ def _dry_run(subcommand: str, params: dict) -> int:
 
 def _cmd_digits(args) -> int:
     specs = _resolve_specs(args)
-    params = {"n": str(args.n), "specs": _spec_params(specs)}
-    if args.dry_run:
-        return _dry_run("digits", params)
-    started = time.perf_counter()
-    renders = [to_digits(args.n, s.g).render() for s in specs]
-    profile = multi_base_profile(args.n, specs)
-    print(f"{args.n} = " + " = ".join(renders))
-    print(render_digit_grid(args.n, specs))
-    for s, (total, large) in zip(specs, profile):
-        print(f"base {s.g} (kappa={s.kappa}): {total} digits, {large} large")
-    result = {
-        "n": str(args.n),
-        "bases": [
-            {
-                "g": s.g,
-                "kappa": str(s.kappa),
-                "rendered": r,
-                "digit_count": total,
-                "large_count": large,
-            }
+    params = {"n": str(args.n), "specs": [s.to_json_dict() for s in specs]}
+
+    def body():
+        renders = [to_digits(args.n, s.g).render() for s in specs]
+        profile = multi_base_profile(args.n, specs)
+        print(f"{args.n} = " + " = ".join(renders))
+        print(render_digit_grid(args.n, specs))
+        for s, (total, large) in zip(specs, profile):
+            print(f"base {s.g} (kappa={s.kappa}): {total} digits, {large} large")
+        result = {
+            "n": str(args.n),
+            "bases": [
+                {**s.to_json_dict(), "rendered": r, "digit_count": total, "large_count": large}
+                for s, r, (total, large) in zip(specs, renders, profile)
+            ],
+        }
+        rows = [
+            [s.g, str(s.kappa), r, total, large]
             for s, r, (total, large) in zip(specs, renders, profile)
-        ],
-    }
-    rows = [
-        [s.g, str(s.kappa), r, total, large]
-        for s, r, (total, large) in zip(specs, renders, profile)
-    ]
-    _write_outputs(
-        args, "digits", params, result,
-        ["g", "kappa", "rendered", "digit_count", "large_count"], rows,
-        time.perf_counter() - started,
-    )
-    return EXIT_OK
+        ]
+        return result, ["g", "kappa", "rendered", "digit_count", "large_count"], rows, EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_kummer(args) -> int:
     params = {"n": str(args.n), "primes": list(args.primes)}
-    if args.dry_run:
-        return _dry_run("kummer", params)
-    started = time.perf_counter()
-    split = graham_split(args.n, args.primes)
-    for p, v in zip(split.primes, split.valuations):
-        print(f"v_{p}(C({2 * args.n},{args.n})) = {v}")
-    print(f"n2 = {split.n2}")
-    print(f"log(n2)/log(n) = {split.n2_log_ratio}")
-    header = ["n", *[f"v_{p}" for p in split.primes], "n2", "log_ratio"]
-    _write_outputs(
-        args, "kummer", params, split.to_json_dict(), header, [split.csv_row()],
-        time.perf_counter() - started,
-    )
-    return EXIT_OK
+
+    def body():
+        split = graham_split(args.n, args.primes)
+        for p, v in zip(split.primes, split.valuations):
+            print(f"v_{p}(C({2 * args.n},{args.n})) = {v}")
+        print(f"n2 = {split.n2}")
+        print(f"log(n2)/log(n) = {split.n2_log_ratio}")
+        header = ["n", *[f"v_{p}" for p in split.primes], "n2", "log_ratio"]
+        return split.to_json_dict(), header, [split.csv_row()], EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_egrs(args) -> int:
@@ -247,82 +239,74 @@ def _cmd_egrs(args) -> int:
         "step_budget": args.step_budget,
         "policy": args.policy,
     }
-    if args.dry_run:
-        return _dry_run("egrs", params)
-    started = time.perf_counter()
-    trace = egrs_construct(
-        args.g1, args.g2, args.kappa1, args.kappa2, args.start,
-        step_budget=args.step_budget, policy=args.policy,
-    )
-    start_value = args.g1**args.start
-    print(f"start: {args.g1}^{args.start} = {start_value} = {to_digits(start_value, args.g2).render()}")
-    for step in trace.steps:
-        times = f" x{step.times}" if step.times > 1 else ""
-        print(
-            f"  + {args.g1}^{step.exponent}{times} clears position {step.offender_position}"
-            f" -> {step.value} = {to_digits(step.value, args.g2).render()}"
+
+    def body():
+        trace = egrs_construct(
+            args.g1, args.g2, args.kappa1, args.kappa2, args.start,
+            step_budget=args.step_budget, policy=args.policy,
         )
-    if trace.final is None:
-        print(
-            f"no full repair within budget; best partial {trace.best_partial} "
-            f"({trace.best_partial_large} large digits), {trace.attempts} attempts"
-        )
-    else:
-        print(
-            f"final: {trace.final} = {to_digits(trace.final, args.g1).render()}"
-            f" = {to_digits(trace.final, args.g2).render()}"
-        )
-    rows = [[s.exponent, s.times, s.offender_position, str(s.value)] for s in trace.steps]
-    _write_outputs(
-        args, "egrs", params, trace.to_json_dict(),
-        ["exponent", "times", "offender_position", "value"], rows,
-        time.perf_counter() - started,
-    )
-    return EXIT_OK
+        start_value = args.g1**args.start
+        print(f"start: {args.g1}^{args.start} = {start_value} = "
+              f"{to_digits(start_value, args.g2).render()}")
+        for step in trace.steps:
+            times = f" x{step.times}" if step.times > 1 else ""
+            print(
+                f"  + {args.g1}^{step.exponent}{times} clears position {step.offender_position}"
+                f" -> {step.value} = {to_digits(step.value, args.g2).render()}"
+            )
+        if trace.final is None:
+            print(
+                f"no full repair within budget; best partial {trace.best_partial} "
+                f"({trace.best_partial_large} large digits), {trace.attempts} attempts"
+            )
+        else:
+            print(
+                f"final: {trace.final} = {to_digits(trace.final, args.g1).render()}"
+                f" = {to_digits(trace.final, args.g2).render()}"
+            )
+        rows = [[s.exponent, s.times, s.offender_position, str(s.value)] for s in trace.steps]
+        header = ["exponent", "times", "offender_position", "value"]
+        return trace.to_json_dict(), header, rows, EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_blocks(args) -> int:
     specs = _resolve_specs(args, default="3:1/2,5:1/2")
     cfg = BlockConfig(specs, args.ell, args.L, args.H, args.c_pad, args.N)
-    params = {
-        "specs": _spec_params(specs),
-        "ell": args.ell,
-        "L": args.L,
-        "H": args.H,
-        "C_pad": str(cfg.C_pad),
-        "N": args.N,
-    }
-    if args.dry_run:
-        return _dry_run("blocks", params)
-    started = time.perf_counter()
-    trace = block_construct(cfg, threads=args.threads)
-    print(f"shifts (block N..0): {list(reversed(trace.shifts))}")
-    print(f"good blocks: {len(trace.good_blocks)}, bad blocks: {list(trace.bad_blocks) or 'none'}")
-    print(f"b = {trace.b}")
-    for audit in trace.audits:
-        print(
-            f"base {audit.g}: {audit.large_total}/{audit.total_digits} large digits "
-            f"(windows: good {audit.good_window_large}/{audit.good_window_positions}, "
-            f"bad {audit.bad_window_large}/{audit.bad_window_positions}, "
-            f"fringe {audit.fringe_large}/{audit.fringe_positions})"
+    params = cfg.to_json_dict()
+
+    def body():
+        trace = block_construct(cfg)
+        print(f"shifts (block N..0): {list(reversed(trace.shifts))}")
+        print(f"good blocks: {len(trace.good_blocks)}, "
+              f"bad blocks: {list(trace.bad_blocks) or 'none'}")
+        print(f"b = {trace.b}")
+        for audit in trace.audits:
+            print(
+                f"base {audit.g}: {audit.large_total}/{audit.total_digits} large digits "
+                f"(windows: good {audit.good_window_large}/{audit.good_window_positions}, "
+                f"bad {audit.bad_window_large}/{audit.bad_window_positions}, "
+                f"fringe {audit.fringe_large}/{audit.fringe_positions})"
+            )
+        stable = all(
+            stability_check(trace, n, spec) for n in range(cfg.N + 1) for spec in cfg.specs
         )
-    stable = all(
-        stability_check(trace, n, spec) for n in range(cfg.N + 1) for spec in cfg.specs
-    )
-    print(f"stability: {'ok' if stable else 'VIOLATED'}")
-    header = [
-        "g", "total_digits", "large_total", "good_window_positions", "good_window_large",
-        "bad_window_positions", "bad_window_large", "fringe_positions", "fringe_large",
-    ]
-    rows = [
-        [a.g, a.total_digits, a.large_total, a.good_window_positions, a.good_window_large,
-         a.bad_window_positions, a.bad_window_large, a.fringe_positions, a.fringe_large]
-        for a in trace.audits
-    ]
-    result = trace.to_json_dict()
-    result["stability_ok"] = stable
-    _write_outputs(args, "blocks", params, result, header, rows, time.perf_counter() - started)
-    return EXIT_OK
+        print(f"stability: {'ok' if stable else 'VIOLATED'}")
+        header = [
+            "g", "total_digits", "large_total", "good_window_positions", "good_window_large",
+            "bad_window_positions", "bad_window_large", "fringe_positions", "fringe_large",
+        ]
+        rows = [
+            [a.g, a.total_digits, a.large_total, a.good_window_positions, a.good_window_large,
+             a.bad_window_positions, a.bad_window_large, a.fringe_positions, a.fringe_large]
+            for a in trace.audits
+        ]
+        result = trace.to_json_dict()
+        result["stability_ok"] = stable
+        return result, header, rows, EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_spectrum(args) -> int:
@@ -338,32 +322,29 @@ def _cmd_spectrum(args) -> int:
         "delta": args.delta,
         "budget": args.budget,
     }
-    if args.dry_run:
-        return _dry_run("spectrum", params)
-    started = time.perf_counter()
-    hits = large_spectrum_enumerate(query)
-    bound = spectrum_bound(query)
-    ratio = len(hits) / bound.value if bound.value else float("inf")
-    print(f"large-spectrum count = {len(hits)} of {query.frequency_count} frequencies")
-    print(f"analytic bound = {bound.value}")
-    if bound.exponent is not None:
-        print(f"per-M exponent = {bound.exponent}")
-    print(f"count/bound = {ratio}")
-    print(f"count <= bound: {len(hits) <= bound.value}")
-    size = family.size
-    rows = [[k, mag, mag / size] for k, mag in hits]
-    result = {
-        "query": query.to_json_dict(),
-        "count": len(hits),
-        "bound": bound.value,
-        "exponent": bound.exponent,
-        "ratio": ratio,
-    }
-    _write_outputs(
-        args, "spectrum", params, result, ["k", "magnitude", "normalized"], rows,
-        time.perf_counter() - started,
-    )
-    return EXIT_OK
+
+    def body():
+        hits = large_spectrum_enumerate(query)
+        bound = spectrum_bound(query)
+        ratio = len(hits) / bound.value if bound.value else float("inf")
+        print(f"large-spectrum count = {len(hits)} of {query.frequency_count} frequencies")
+        print(f"analytic bound = {bound.value}")
+        if bound.exponent is not None:
+            print(f"per-M exponent = {bound.exponent}")
+        print(f"count/bound = {ratio}")
+        print(f"count <= bound: {len(hits) <= bound.value}")
+        size = family.size
+        rows = [[k, mag, mag / size] for k, mag in hits]
+        result = {
+            "query": query.to_json_dict(),
+            "count": len(hits),
+            "bound": bound.value,
+            "exponent": bound.exponent,
+            "ratio": ratio,
+        }
+        return result, ["k", "magnitude", "normalized"], rows, EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_bump(args) -> int:
@@ -374,30 +355,28 @@ def _cmd_bump(args) -> int:
         "tail_cap": args.tail_cap,
         "tail_tol": args.tail_tol,
     }
-    if args.dry_run:
-        return _dry_run("bump", params)
-    started = time.perf_counter()
-    report = bump_property_report(bump, args.tail_cap, tail_tol=args.tail_tol)
-    print(f"coefficient at 0 = {report.coeff_at_zero}")
-    print(f"coefficient sum over |k| <= {args.tail_cap} = {report.coeff_sum}")
-    print(f"certified tail = {report.tail_bound}")
-    print(f"sum + tail = {report.coeff_sum + report.tail_bound} (bound 4/delta = {report.sum_bound})")
-    print(f"envelope violations = {report.envelope_violations}"
-          + (f" (first at k = {report.first_violation})" if report.first_violation else ""))
-    print(f"support leak = {report.support_leak}")
-    rows = [
-        ["coeff_at_zero", report.coeff_at_zero],
-        ["coeff_sum", report.coeff_sum],
-        ["tail_bound", report.tail_bound],
-        ["sum_bound", report.sum_bound],
-        ["envelope_violations", report.envelope_violations],
-        ["support_leak", report.support_leak],
-    ]
-    _write_outputs(
-        args, "bump", params, report.to_json_dict(), ["quantity", "value"], rows,
-        time.perf_counter() - started,
-    )
-    return EXIT_OK
+
+    def body():
+        report = bump_property_report(bump, args.tail_cap, tail_tol=args.tail_tol)
+        print(f"coefficient at 0 = {report.coeff_at_zero}")
+        print(f"coefficient sum over |k| <= {args.tail_cap} = {report.coeff_sum}")
+        print(f"certified tail = {report.tail_bound}")
+        print(f"sum + tail = {report.coeff_sum + report.tail_bound} "
+              f"(bound 4/delta = {report.sum_bound})")
+        print(f"envelope violations = {report.envelope_violations}"
+              + (f" (first at k = {report.first_violation})" if report.first_violation else ""))
+        print(f"support leak = {report.support_leak}")
+        rows = [
+            ["coeff_at_zero", report.coeff_at_zero],
+            ["coeff_sum", report.coeff_sum],
+            ["tail_bound", report.tail_bound],
+            ["sum_bound", report.sum_bound],
+            ["envelope_violations", report.envelope_violations],
+            ["support_leak", report.support_leak],
+        ]
+        return report.to_json_dict(), ["quantity", "value"], rows, EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _make_system(args) -> ExponentSystem:
@@ -406,100 +385,83 @@ def _make_system(args) -> ExponentSystem:
     return ExponentSystem(tuple(args.bases), ell, args.L, zetas)
 
 
-def _system_params(sys_: ExponentSystem) -> dict:
-    return sys_.to_json_dict()
-
-
 def _cmd_equidist(args) -> int:
     system = _make_system(args)
-    exit_code = EXIT_OK
     if args.mode == "frac":
-        params = {"system": _system_params(system), "mode": "frac", "n": args.n}
-        if args.dry_run:
-            return _dry_run("equidist", params)
-        started = time.perf_counter()
-        values, err = frac_exponents(system, args.n)
-        for g, v in zip(system.bases, values):
-            print(f"{{{args.n} * ln{args.L}/ln{g}}} = {v!r}")
-        print(f"certified error <= {err}")
-        norm = power_sum_norm(system, args.n)
-        print(f"power-sum norm = {norm.value} (err {norm.err})")
-        result = {
-            "system": _system_params(system),
-            "n": args.n,
-            "values": list(values),
-            "err": err,
-            "norm": norm.value,
-            "norm_err": norm.err,
-        }
-        rows = [[g, v] for g, v in zip(system.bases, values)]
-        _write_outputs(
-            args, "equidist", params, result, ["g", "frac"], rows,
-            time.perf_counter() - started,
-        )
+        params = {"system": system.to_json_dict(), "mode": "frac", "n": args.n}
+
+        def body():
+            values, err = frac_exponents(system, args.n)
+            for g, v in zip(system.bases, values):
+                print(f"{{{args.n} * ln{args.L}/ln{g}}} = {v!r}")
+            print(f"certified error <= {err}")
+            norm = power_sum_norm(system, args.n)
+            print(f"power-sum norm = {norm.value} (err {norm.err})")
+            result = {
+                "system": system.to_json_dict(),
+                "n": args.n,
+                "values": list(values),
+                "err": err,
+                "norm": norm.value,
+                "norm_err": norm.err,
+            }
+            rows = [[g, v] for g, v in zip(system.bases, values)]
+            return result, ["g", "frac"], rows, EXIT_OK
+
     elif args.mode == "census":
         eps = [float(e) for e in args.epsilons]
         params = {
-            "system": _system_params(system),
+            "system": system.to_json_dict(),
             "mode": "census",
             "N": args.N,
             "epsilons": eps,
             "dps": args.dps,
         }
-        if args.dry_run:
-            return _dry_run("equidist", params)
-        started = time.perf_counter()
-        report = bad_n_census(system, eps, args.N, dps=args.dps, budget=args.budget)
-        for entry in report.entries:
-            flag = f" ({entry.indeterminate} indeterminate)" if entry.indeterminate else ""
-            print(f"eps = {entry.epsilon}: {entry.count}/{args.N}{flag}")
-        print(f"empirical exponent = {report.empirical_exponent} (reference 1/r = {report.reference_exponent})")
-        rows = [[e.epsilon, e.count, e.indeterminate] for e in report.entries]
-        _write_outputs(
-            args, "equidist", params, report.to_json_dict(),
-            ["epsilon", "count", "indeterminate"], rows,
-            time.perf_counter() - started,
-        )
-        if any(e.indeterminate for e in report.entries):
-            exit_code = EXIT_INDETERMINATE
+
+        def body():
+            report = bad_n_census(system, eps, args.N, dps=args.dps, budget=args.budget)
+            for entry in report.entries:
+                flag = f" ({entry.indeterminate} indeterminate)" if entry.indeterminate else ""
+                print(f"eps = {entry.epsilon}: {entry.count}/{args.N}{flag}")
+            print(f"empirical exponent = {report.empirical_exponent} "
+                  f"(reference 1/r = {report.reference_exponent})")
+            rows = [[e.epsilon, e.count, e.indeterminate] for e in report.entries]
+            indeterminate = any(e.indeterminate for e in report.entries)
+            return (report.to_json_dict(), ["epsilon", "count", "indeterminate"], rows,
+                    EXIT_INDETERMINATE if indeterminate else EXIT_OK)
+
     else:  # discrepancy
         params = {
-            "system": _system_params(system),
+            "system": system.to_json_dict(),
             "mode": "discrepancy",
             "N": args.N,
             "grid": args.grid,
         }
-        if args.dry_run:
-            return _dry_run("equidist", params)
-        started = time.perf_counter()
-        est = discrepancy_estimate(system, args.N, grid=args.grid)
-        print(f"discrepancy estimate at N={args.N}: {est}")
-        result = {"system": _system_params(system), "N": args.N, "grid": args.grid, "estimate": est}
-        _write_outputs(
-            args, "equidist", params, result, ["N", "estimate"], [[args.N, est]],
-            time.perf_counter() - started,
-        )
-    return exit_code
+
+        def body():
+            est = discrepancy_estimate(system, args.N, grid=args.grid)
+            print(f"discrepancy estimate at N={args.N}: {est}")
+            result = {"system": system.to_json_dict(), "N": args.N, "grid": args.grid,
+                      "estimate": est}
+            return result, ["N", "estimate"], [[args.N, est]], EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_lattice(args) -> int:
     system = _make_system(args)
-    params = {"system": _system_params(system), "M": args.M, "budget": args.budget}
-    if args.dry_run:
-        return _dry_run("lattice", params)
-    started = time.perf_counter()
-    result = lattice_min_combination(system, args.M, budget=args.budget)
-    print(f"scanned {result.vectors_scanned} vectors, ||m||_inf <= {args.M}")
-    print(f"min norm = {result.min_norm!r} at m = {list(result.argmin)}")
-    print(f"reference M^-r = {result.reference}")
-    print(f"fixed-point error <= {result.err}")
-    _write_outputs(
-        args, "lattice", params, result.to_json_dict(),
-        ["M", "min_norm", "argmin", "reference"],
-        [[args.M, result.min_norm, " ".join(map(str, result.argmin)), result.reference]],
-        time.perf_counter() - started,
-    )
-    return EXIT_OK
+    params = {"system": system.to_json_dict(), "M": args.M, "budget": args.budget}
+
+    def body():
+        result = lattice_min_combination(system, args.M, budget=args.budget)
+        print(f"scanned {result.vectors_scanned} vectors, ||m||_inf <= {args.M}")
+        print(f"min norm = {result.min_norm!r} at m = {list(result.argmin)}")
+        print(f"reference M^-r = {result.reference}")
+        print(f"fixed-point error <= {result.err}")
+        row = [args.M, result.min_norm, " ".join(map(str, result.argmin)), result.reference]
+        return result.to_json_dict(), ["M", "min_norm", "argmin", "reference"], [row], EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_conditions(args) -> int:
@@ -516,48 +478,45 @@ def _cmd_conditions(args) -> int:
             "kappa": str(args.kappa),
             "max_exponent": args.max_exponent,
         }
-        if args.dry_run:
-            return _dry_run("conditions", params)
-        started = time.perf_counter()
-        result = equal_base_threshold(args.r, args.kappa, args.form, max_exponent=args.max_exponent)
-        print(f"minimal base g = {result.min_g}")
-        print(f"minimal power of ten: 10^{result.min_pow10_exponent}")
-        _write_outputs(
-            args, "conditions", params, result.to_json_dict(),
-            ["form", "r", "kappa", "min_g", "min_pow10_exponent"],
-            [[args.form, args.r, str(args.kappa), str(result.min_g), result.min_pow10_exponent]],
-            time.perf_counter() - started,
-        )
-        return EXIT_OK
+
+        def body():
+            result = equal_base_threshold(args.r, args.kappa, args.form,
+                                          max_exponent=args.max_exponent)
+            print(f"minimal base g = {result.min_g}")
+            print(f"minimal power of ten: 10^{result.min_pow10_exponent}")
+            header = ["form", "r", "kappa", "min_g", "min_pow10_exponent"]
+            row = [args.form, args.r, str(args.kappa), str(result.min_g),
+                   result.min_pow10_exponent]
+            return result.to_json_dict(), header, [row], EXIT_OK
+
+        return _run(args, params, body)
 
     specs = _resolve_specs(args)
     r = args.r if args.r is not None else len(specs)
-    params = {"condition": mode, "specs": _spec_params(specs), "r": r}
-    if args.dry_run:
-        return _dry_run("conditions", params)
-    started = time.perf_counter()
-    if mode == "conjecture":
-        report = conjecture_sum(specs)
-    elif mode == "theorem":
-        report = theorem_sum(specs, r)
-    elif mode == "prop":
-        report = prop_sum(specs, r)
-    else:  # egrs
-        if len(specs) != 2:
-            raise argparse.ArgumentTypeError("egrs condition needs exactly two specs")
-        report = egrs_condition(specs[0], specs[1])
-    print(f"value = {report.value_str}")
-    print(f"threshold: {report.comparison} {report.threshold}")
-    if report.indeterminate:
-        print("INDETERMINATE")
-    else:
-        print("SATISFIED" if report.satisfied else "NOT SATISFIED")
-    rows = [[t.g, t.kappa, t.value] for t in report.terms]
-    _write_outputs(
-        args, "conditions", params, report.to_json_dict(), ["g", "kappa", "term"], rows,
-        time.perf_counter() - started,
-    )
-    return EXIT_INDETERMINATE if report.indeterminate else EXIT_OK
+    params = {"condition": mode, "specs": [s.to_json_dict() for s in specs], "r": r}
+
+    def body():
+        if mode == "conjecture":
+            report = conjecture_sum(specs)
+        elif mode == "theorem":
+            report = theorem_sum(specs, r)
+        elif mode == "prop":
+            report = prop_sum(specs, r)
+        else:  # egrs
+            if len(specs) != 2:
+                raise argparse.ArgumentTypeError("egrs condition needs exactly two specs")
+            report = egrs_condition(specs[0], specs[1])
+        print(f"value = {report.value_str}")
+        print(f"threshold: {report.comparison} {report.threshold}")
+        if report.indeterminate:
+            print("INDETERMINATE")
+        else:
+            print("SATISFIED" if report.satisfied else "NOT SATISFIED")
+        rows = [[t.g, t.kappa, t.value] for t in report.terms]
+        return (report.to_json_dict(), ["g", "kappa", "term"], rows,
+                EXIT_INDETERMINATE if report.indeterminate else EXIT_OK)
+
+    return _run(args, params, body)
 
 
 def _cmd_search(args) -> int:
@@ -575,71 +534,70 @@ def _cmd_search(args) -> int:
         "budget": args.budget,
         "resumable": bool(args.checkpoint),
     }
-    if args.dry_run:
-        return _dry_run("search", params)
-    started = time.perf_counter()
-    finished = True
-    if args.checkpoint:
-        if not args.hits:
-            raise argparse.ArgumentTypeError("--checkpoint needs --hits")
-        hits, finished = resumable_search(
-            search, args.checkpoint, args.hits,
-            max_candidates=args.max_candidates, checkpoint_every=args.checkpoint_every,
-        )
-    else:
-        hits = multi_base_search(search, budget=args.budget)
-    if args.drop_zero:
-        hits = [n for n in hits if n != 0]
-    profile_header = ["n"]
-    for s in specs:
-        profile_header += [f"digits_{s.g}", f"large_{s.g}"]
-    rows = []
-    for n in hits:
-        row = [str(n)]
+
+    def body():
+        finished = True
+        if args.checkpoint:
+            if not args.hits:
+                raise argparse.ArgumentTypeError("--checkpoint needs --hits")
+            hits, finished = resumable_search(
+                search, args.checkpoint, args.hits,
+                max_candidates=args.max_candidates, checkpoint_every=args.checkpoint_every,
+            )
+        else:
+            hits = multi_base_search(search, budget=args.budget)
+        if args.drop_zero:
+            hits = [n for n in hits if n != 0]
+        profile_header = ["n"]
         for s in specs:
-            row += [to_digits(n, s.g).render(), large_digit_count(n, s)]
-        rows.append(row)
-    shown = rows if args.all else rows[:20]
-    print(f"{len(hits)} hits below {args.limit}" + ("" if finished else " so far (not finished)"))
-    for row in shown:
-        print(f"  {row[0]} = " + " = ".join(row[1::2]))
-    if len(shown) < len(hits):
-        print(f"  ... ({len(hits) - len(shown)} more)")
-    result = {
-        "search": search.to_json_dict(),
-        "count": len(hits),
-        "finished": finished,
-        "hits": [str(n) for n in hits[:_JSON_HITS_CAP]],
-        "hits_truncated": len(hits) > _JSON_HITS_CAP,
-    }
-    _write_outputs(args, "search", params, result, profile_header, rows,
-                   time.perf_counter() - started)
-    return EXIT_OK
+            profile_header += [f"digits_{s.g}", f"large_{s.g}"]
+        rows = []
+        for n in hits:
+            row = [str(n)]
+            for s in specs:
+                row += [to_digits(n, s.g).render(), large_digit_count(n, s)]
+            rows.append(row)
+        shown = rows if args.all else rows[:20]
+        print(f"{len(hits)} hits below {args.limit}"
+              + ("" if finished else " so far (not finished)"))
+        for row in shown:
+            print(f"  {row[0]} = " + " = ".join(row[1::2]))
+        if len(shown) < len(hits):
+            print(f"  ... ({len(hits) - len(shown)} more)")
+        result = {
+            "search": search.to_json_dict(),
+            "count": len(hits),
+            "finished": finished,
+            "hits": [str(n) for n in hits[:_JSON_HITS_CAP]],
+            "hits_truncated": len(hits) > _JSON_HITS_CAP,
+        }
+        return result, profile_header, rows, EXIT_OK
+
+    return _run(args, params, body)
 
 
 def _cmd_census(args) -> int:
     params = {"limit": args.limit, "primes": list(args.primes), "budget": args.budget}
-    if args.dry_run:
-        return _dry_run("census", params)
-    started = time.perf_counter()
-    splits = graham_census(args.limit, args.primes, budget=args.budget)
-    print(f"{len(splits)} values of n <= {args.limit} with C(2n,n) coprime to "
-          + "*".join(map(str, args.primes)))
-    shown = splits if args.all else splits[:20]
-    for split in shown:
-        print(f"  n = {split.n}")
-    if len(shown) < len(splits):
-        print(f"  ... ({len(splits) - len(shown)} more)")
-    header = ["n", *[f"v_{p}" for p in args.primes], "n2", "log_ratio"]
-    rows = [s.csv_row() for s in splits]
-    result = {
-        "limit": args.limit,
-        "primes": list(args.primes),
-        "count": len(splits),
-        "hits": [s.to_json_dict() for s in splits],
-    }
-    _write_outputs(args, "census", params, result, header, rows, time.perf_counter() - started)
-    return EXIT_OK
+
+    def body():
+        splits = graham_census(args.limit, args.primes, budget=args.budget)
+        print(f"{len(splits)} values of n <= {args.limit} with C(2n,n) coprime to "
+              + "*".join(map(str, args.primes)))
+        shown = splits if args.all else splits[:20]
+        for split in shown:
+            print(f"  n = {split.n}")
+        if len(shown) < len(splits):
+            print(f"  ... ({len(splits) - len(shown)} more)")
+        header = ["n", *[f"v_{p}" for p in args.primes], "n2", "log_ratio"]
+        result = {
+            "limit": args.limit,
+            "primes": list(args.primes),
+            "count": len(splits),
+            "hits": [s.to_json_dict() for s in splits],
+        }
+        return result, header, [s.csv_row() for s in splits], EXIT_OK
+
+    return _run(args, params, body)
 
 
 # --- parser construction -------------------------------------------------------
@@ -688,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=int, required=True)
     p.add_argument("--c-pad", type=_rational, default=Fraction(8))
     p.add_argument("--N", type=int, default=8, help="number of blocks below the leader")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_blocks)
 
     p = sub.add_parser("spectrum", parents=[common], help="large-spectrum enumeration vs bound")

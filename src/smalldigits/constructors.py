@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .digits import BaseSpec, _exact_fraction, to_digits
+from .digits import BaseSpec, _exact_fraction, large_digit_count, to_digits, window_positions
 from .errors import BudgetExceededError, DeadEndError
 
 # --- greedy two-base digit repair -------------------------------------------
@@ -25,29 +24,14 @@ from .errors import BudgetExceededError, DeadEndError
 
 def _msb_offender(value: int, spec: BaseSpec) -> Optional[int]:
     """Position of the most significant large digit, or None."""
-    dv = to_digits(value, spec.g)
-    for k in range(len(dv) - 1, -1, -1):
-        if spec.is_large(dv.digits[k]):
-            return k
-    return None
-
-
-def _total_large(value: int, spec: BaseSpec) -> int:
-    return sum(1 for d in to_digits(value, spec.g).digits if spec.is_large(d))
-
-
-def _exponents_leading_at(g1: int, lo: int, hi: int) -> list[int]:
-    """Exponents e with lo <= g1^e <= hi, ascending."""
-    e, p = 0, 1
-    while p < lo:
-        p *= g1
-        e += 1
-    out = []
-    while p <= hi:
-        out.append(e)
-        p *= g1
-        e += 1
-    return out
+    g, bound = spec.g, spec.max_small_digit
+    k, offender = 0, None
+    while value:
+        value, d = divmod(value, g)
+        if d > bound:
+            offender = k
+        k += 1
+    return offender
 
 
 def _iter_moves(value, g1, spec2, offender, max_exponent, order, mult_cap):
@@ -57,9 +41,9 @@ def _iter_moves(value, g1, spec2, offender, max_exponent, order, mult_cap):
     leaves no large digit at that position or above."""
     g2 = spec2.g
     lo, hi = g2**offender, g2 ** (offender + 1) - 1
-    exps = _exponents_leading_at(g1, lo, hi)
+    exps = window_positions(g1, lo, hi)
     if max_exponent is not None:
-        exps = [e for e in exps if e < max_exponent]
+        exps = range(exps.start, min(exps.stop, max_exponent))
     if order == "highest":
         exps = exps[::-1]
     elif order != "lowest":
@@ -75,10 +59,21 @@ def _iter_moves(value, g1, spec2, offender, max_exponent, order, mult_cap):
 
 @dataclass(frozen=True)
 class RepairMove:
+    """One repair step: value = previous value + times * g1^exponent, which
+    clears the large base-g2 digit at offender_position."""
+
     exponent: int
     times: int
     offender_position: int
     value: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "exponent": self.exponent,
+            "times": self.times,
+            "offender_position": self.offender_position,
+            "value": str(self.value),
+        }
 
 
 def egrs_repair_step(
@@ -110,22 +105,6 @@ def egrs_repair_step(
 
 
 @dataclass(frozen=True)
-class EgrsStep:
-    exponent: int
-    times: int
-    offender_position: int
-    value: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "times": self.times,
-            "offender_position": self.offender_position,
-            "value": str(self.value),
-        }
-
-
-@dataclass(frozen=True)
 class EgrsTrace:
     """Full record of one greedy repair run.
 
@@ -141,7 +120,7 @@ class EgrsTrace:
     start_exponent: int
     step_budget: int
     policy: str
-    steps: tuple[EgrsStep, ...]
+    steps: tuple[RepairMove, ...]
     final: Optional[int]
     attempts: int
     best_partial: int
@@ -206,7 +185,7 @@ def egrs_construct(
 
     def key_of(value):
         off = _msb_offender(value, spec2)
-        return ((-1 if off is None else off), _total_large(value, spec2))
+        return ((-1 if off is None else off), large_digit_count(value, spec2))
 
     best_partial, best_key = start, key_of(start)
     attempts = 0
@@ -250,7 +229,7 @@ def egrs_construct(
         ck = key_of(cand)
         if ck < best_key:
             best_key, best_partial = ck, cand
-        frame["step"] = EgrsStep(e, times, frame["offender"], cand)
+        frame["step"] = RepairMove(e, times, frame["offender"], cand)
         stack.append(frame)
         frame = push_frame(cand, e)
 
@@ -314,7 +293,7 @@ class BlockConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "specs": [{"g": s.g, "kappa": str(s.kappa)} for s in self.specs],
+            "specs": [s.to_json_dict() for s in self.specs],
             "ell": self.ell,
             "L": self.L,
             "H": self.H,
@@ -323,24 +302,19 @@ class BlockConfig:
         }
 
 
-def _window_clean(value: int, spec: BaseSpec, window: Optional[tuple[int, int]]) -> bool:
-    """True when no in-window digit of value is large. Empty window: true."""
-    if window is None:
-        return True
-    lo, hi = window
-    g = spec.g
-    place = 1
-    while place < lo:
-        place *= g
-    bound = spec.max_small_digit
-    while place <= hi:
-        if (value // place) % g > bound:
-            return False
-        place *= g
+def _window_clean(value: int, windows: Sequence[tuple[int, int, int, int]]) -> bool:
+    """True when no digit of value inside any window is large. Each window
+    is (g, place value of its lowest digit, number of digits, bound)."""
+    for g, place, width, bound in windows:
+        rest = value // place
+        for _ in range(width):
+            rest, d = divmod(rest, g)
+            if d > bound:
+                return False
     return True
 
 
-def block_find_shift(cfg: BlockConfig, n: int, beta: int, threads: int = 1) -> Optional[int]:
+def block_find_shift(cfg: BlockConfig, n: int, beta: int) -> Optional[int]:
     """Minimal s in [1, H] such that every digit of s*L^n + beta inside the
     constraint window is small in every base; None if no shift works."""
     if not (0 <= n <= cfg.N):
@@ -348,30 +322,16 @@ def block_find_shift(cfg: BlockConfig, n: int, beta: int, threads: int = 1) -> O
     if beta < 0:
         raise ValueError("beta must be non-negative")
     window = cfg.constraint_window(n)
+    windows = []
+    if window is not None:
+        for spec in cfg.specs:
+            positions = window_positions(spec.g, *window)
+            windows.append((spec.g, spec.g**positions.start, len(positions), spec.max_small_digit))
     Ln = cfg.L**n
-
-    def ok(s: int) -> bool:
-        value = s * Ln + beta
-        return all(_window_clean(value, spec, window) for spec in cfg.specs)
-
-    if threads <= 1:
-        for s in range(1, cfg.H + 1):
-            if ok(s):
-                return s
-        return None
-    # chunked scan; minimality is preserved by taking the min over chunk minima
-    chunk = max(1, (cfg.H + threads - 1) // threads)
-    ranges = [(lo, min(lo + chunk, cfg.H + 1)) for lo in range(1, cfg.H + 1, chunk)]
-
-    def first_in(rng: tuple[int, int]) -> Optional[int]:
-        for s in range(rng[0], rng[1]):
-            if ok(s):
-                return s
-        return None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        found = [s for s in pool.map(first_in, ranges) if s is not None]
-    return min(found) if found else None
+    for s in range(1, cfg.H + 1):
+        if _window_clean(s * Ln + beta, windows):
+            return s
+    return None
 
 
 @dataclass(frozen=True)
@@ -459,20 +419,16 @@ def _audit_base(cfg: BlockConfig, b: int, spec: BaseSpec, good: set[int], bad: s
             continue
         lo, hi = window
         kind = "good" if n in good else "bad"
-        place, k = 1, 0
-        while place < lo:
-            place *= spec.g
-            k += 1
-        while place <= hi and k < len(dv):
+        # g^k <= b exactly for the positions k the expansion of b has
+        for k in window_positions(spec.g, lo, min(hi, b)):
             if category[k] == "fringe":
                 category[k] = kind
-            place *= spec.g
-            k += 1
+    bound = spec.max_small_digit
     counts = {"good": [0, 0], "bad": [0, 0], "fringe": [0, 0]}
     for k, d in enumerate(dv.digits):
         bucket = counts[category[k]]
         bucket[0] += 1
-        if spec.is_large(d):
+        if d > bound:
             bucket[1] += 1
     large_total = counts["good"][1] + counts["bad"][1] + counts["fringe"][1]
     return BaseAudit(
@@ -488,7 +444,7 @@ def _audit_base(cfg: BlockConfig, b: int, spec: BaseSpec, good: set[int], bad: s
     )
 
 
-def block_construct(cfg: BlockConfig, threads: int = 1) -> BlockTrace:
+def block_construct(cfg: BlockConfig) -> BlockTrace:
     """Top-down run: s_N = 1, then for n = N-1 .. 0 the minimal working
     shift (0 marking a bad block), followed by a full per-base audit."""
     shifts = [0] * (cfg.N + 1)
@@ -496,7 +452,7 @@ def block_construct(cfg: BlockConfig, threads: int = 1) -> BlockTrace:
     partial = cfg.L**cfg.N
     good, bad = [], []
     for n in range(cfg.N - 1, -1, -1):
-        s = block_find_shift(cfg, n, partial, threads=threads)
+        s = block_find_shift(cfg, n, partial)
         if s is None:
             bad.append(n)
         else:
@@ -521,10 +477,7 @@ def stability_check(trace: BlockTrace, n: int, spec: BaseSpec) -> bool:
     threshold = Fraction(spec.g * cfg.H * cfg.L**n, cfg.L - 1)
     full = to_digits(trace.b, spec.g)
     part = to_digits(trace.b_from(n), spec.g)
-    place, k = 1, 0
-    while place <= threshold:
-        place *= spec.g
-        k += 1
+    k = window_positions(spec.g, 1, math.floor(threshold)).stop
     top = max(len(full), len(part))
     while k < top:
         if full.digit_at(k) != part.digit_at(k):

@@ -66,6 +66,9 @@ class BaseSpec:
     def label(self) -> str:
         return f"{self.g}:{self.kappa}"
 
+    def to_json_dict(self) -> dict:
+        return {"g": self.g, "kappa": str(self.kappa)}
+
 
 @dataclass(frozen=True)
 class DigitVector:
@@ -170,6 +173,19 @@ class DigitWindowReport:
         }
 
 
+def window_positions(g: int, lo: int, hi: int) -> range:
+    """The exponents k with lo <= g^k <= hi, ascending; empty when none."""
+    k, place = 0, 1
+    while place < lo:
+        place *= g
+        k += 1
+    first = k
+    while place <= hi:
+        place *= g
+        k += 1
+    return range(first, k)
+
+
 def digit_window(n: int, spec: BaseSpec, lo: int, hi: int) -> DigitWindowReport:
     """Report which positions fall in the window [lo, hi] (measured by the
     place value g^k) and which of those carry a large digit.
@@ -182,19 +198,14 @@ def digit_window(n: int, spec: BaseSpec, lo: int, hi: int) -> DigitWindowReport:
     if n < 0:
         raise ValueError("n must be non-negative")
     g = spec.g
-    k, place = 0, 1
-    while place < lo:
-        place *= g
-        k += 1
-    positions = []
-    large = []
+    positions = window_positions(g, lo, hi)
     bound = spec.max_small_digit
-    while place <= hi:
-        positions.append(k)
-        if (n // place) % g > bound:
+    rest = n // g**positions.start
+    large = []
+    for k in positions:
+        rest, d = divmod(rest, g)
+        if d > bound:
             large.append(k)
-        place *= g
-        k += 1
     return DigitWindowReport(spec, lo, hi, tuple(positions), tuple(large))
 
 

@@ -25,7 +25,7 @@ from .digits import BaseSpec, large_digit_count, to_digits
 from .errors import BudgetExceededError
 from .kummer import GrahamSplit, central_binom_valuation, graham_split
 
-_CHECKPOINT_FORMAT = 1
+_CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SearchSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "specs": [{"g": s.g, "kappa": str(s.kappa)} for s in self.specs],
+            "specs": [s.to_json_dict() for s in self.specs],
             "limit": self.limit,
             "driver": self.resolved_driver(),
         }
@@ -174,10 +174,12 @@ def resumable_search(
     """Run (or continue) a search, persisting progress.
 
     The checkpoint JSON stores the search description, the next driver
-    odometer index, and a digest of the hits file written so far; a resumed
-    call verifies both before continuing. Returns (all hits so far,
-    finished flag). Interleave calls with max_candidates to bound the work
-    per invocation.
+    odometer index, and the byte length and digest of the hits file written
+    so far. A resumed call verifies the search, cuts the hits file back to
+    that length (dropping lines a killed run wrote after its last
+    checkpoint), verifies the digest and continues. Returns (all hits so
+    far, finished flag). Interleave calls with max_candidates to bound the
+    work per invocation.
     """
     d = search.resolved_driver()
     driver = search.specs[d]
@@ -193,6 +195,8 @@ def resumable_search(
             raise ValueError(f"unsupported checkpoint format in {checkpoint_path}")
         if state["search"] != spec_dict:
             raise ValueError("checkpoint was written for a different search")
+        if os.path.getsize(hits_path) > state["hits_bytes"]:
+            os.truncate(hits_path, state["hits_bytes"])
         if state["hits_digest"] != _digest_file(hits_path):
             raise ValueError("hits file does not match checkpoint digest")
         cursor = state["cursor"]
@@ -208,6 +212,7 @@ def resumable_search(
             "search": spec_dict,
             "cursor": cur,
             "finished": finished,
+            "hits_bytes": os.path.getsize(hits_path),
             "hits_digest": _digest_file(hits_path),
         }
         tmp = os.fspath(checkpoint_path) + ".tmp"
@@ -271,7 +276,7 @@ class DensityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "specs": [{"g": s.g, "kappa": str(s.kappa)} for s in self.specs],
+            "specs": [s.to_json_dict() for s in self.specs],
             "thresholds": list(self.thresholds),
             "counts": list(self.counts),
             "empirical_exponent": self.empirical_exponent,

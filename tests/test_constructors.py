@@ -25,6 +25,7 @@ from smalldigits import (
     stability_check,
     to_digits,
 )
+from smalldigits.constructors import _msb_offender
 
 HALF = Fraction(1, 2)
 
@@ -88,6 +89,19 @@ def test_egrs_repair_step_clears_top_offender():
     assert move is not None
     assert move.exponent == 9 and move.offender_position == 6
     assert move.value == 551124
+
+
+def test_egrs_steps_are_repair_moves():
+    trace = egrs_construct(3, 5, HALF, HALF, 12)
+    assert trace.steps[0] == egrs_repair_step(3**12, 3, 5, HALF)
+    assert trace.to_json_dict()["steps"][0] == trace.steps[0].to_json_dict()
+
+
+def test_msb_offender_matches_digit_expansion():
+    for spec in (BaseSpec(5, HALF), BaseSpec(7, Fraction(2, 7)), BaseSpec(4, HALF)):
+        for value in range(3000):
+            large = [k for k, d in enumerate(to_digits(value, spec.g).digits) if spec.is_large(d)]
+            assert _msb_offender(value, spec) == (large[-1] if large else None)
 
 
 def test_egrs_repair_step_none_when_clean():
@@ -199,11 +213,6 @@ def test_block_good_windows_audit_clean():
     for audit in trace.audits:
         assert audit.good_window_large == 0
         assert audit.large_total <= audit.fringe_large + audit.bad_window_large
-
-
-def test_block_threads_do_not_change_anything():
-    cfg = _small_config()
-    assert block_construct(cfg, threads=3) == block_construct(cfg)
 
 
 def test_block_find_shift_matches_construct():

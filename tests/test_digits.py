@@ -20,6 +20,7 @@ from smalldigits import (
     render_digit_grid,
     to_digits,
 )
+from smalldigits.digits import window_positions
 
 
 # --- oracles -------------------------------------------------------------------
@@ -158,6 +159,28 @@ def test_digit_window_collects_positions_by_place_value():
     # positions past the expansion hold zeros, never large
     tail = digit_window(n, spec, 5**6, 5**8)
     assert tail.positions == (6, 7, 8) and tail.large_positions == ()
+
+
+def test_window_positions_brute_force():
+    for g in (2, 3, 7, 10):
+        for lo in range(1, 130):
+            for hi in range(lo - 1, 400, 7):
+                expected = [k for k in range(12) if lo <= g**k <= hi]
+                assert list(window_positions(g, lo, hi)) == expected
+
+
+def test_digit_window_matches_definition():
+    rng = random.Random(4)
+    spec = BaseSpec(6, Fraction(1, 2))
+    for _ in range(300):
+        n, lo = rng.randrange(10**9), rng.randrange(1, 10**6)
+        hi = lo + rng.randrange(10**8)
+        dv = to_digits(n, 6)
+        report = digit_window(n, spec, lo, hi)
+        assert list(report.positions) == [k for k in range(20) if lo <= 6**k <= hi]
+        assert list(report.large_positions) == [
+            k for k in report.positions if spec.is_large(dv.digit_at(k))
+        ]
 
 
 def test_multi_base_profile_worked_example():

@@ -198,7 +198,8 @@ def test_resumable_search_round_trip(tmp_path):
     hits, finished = resumable_search(search, ckpt, hits_file, max_candidates=40)
     assert not finished
     state = json.loads(ckpt.read_text())
-    assert state["format"] == 1 and not state["finished"]
+    assert state["format"] == 2 and not state["finished"]
+    assert state["hits_bytes"] == hits_file.stat().st_size
 
     rounds = 0
     while not finished:
@@ -219,6 +220,26 @@ def test_resumable_search_one_shot_matches(tmp_path):
     hits, finished = resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt")
     assert finished
     assert hits == multi_base_search(search)
+
+
+def test_resumable_search_drops_lines_written_after_the_checkpoint(tmp_path):
+    # a writer killed between checkpoints leaves flushed lines past the
+    # cursor, the last one possibly cut short; resuming must discard them
+    search = SearchSpec((BaseSpec(3, HALF), BaseSpec(5, HALF)), 40_000)
+    clean_ckpt, clean_hits = tmp_path / "clean.json", tmp_path / "clean.txt"
+    expected, finished = resumable_search(search, clean_ckpt, clean_hits)
+    assert finished
+
+    ckpt, hits_file = tmp_path / "c.json", tmp_path / "h.txt"
+    hits, finished = resumable_search(search, ckpt, hits_file, max_candidates=60)
+    assert not finished
+    later = [n for n in expected if n > hits[-1]]
+    with open(hits_file, "a") as fh:
+        fh.write("".join(f"{n}\n" for n in later[:5]) + str(later[5])[:2])
+    while not finished:
+        hits, finished = resumable_search(search, ckpt, hits_file, max_candidates=500)
+    assert hits == expected
+    assert hits_file.read_bytes() == clean_hits.read_bytes()
 
 
 def test_resumable_search_rejects_mismatched_checkpoint(tmp_path):
