@@ -107,6 +107,13 @@ def _theta_fixed(L: int, g: int, bits: int = _FIXED_BITS) -> int:
         return int(mp.nint(theta * mp.mpf(2) ** bits))
 
 
+@lru_cache(maxsize=256)
+def _theta_mp(L: int, g: int, dps: int) -> mp.mpf:
+    """ln L / ln g rounded at dps working digits (mpf values are immutable)."""
+    with mp.workdps(dps):
+        return mp.log(L) / mp.log(g)
+
+
 def frac_exponents(sys: ExponentSystem, n: int) -> tuple[tuple[float, ...], float]:
     """({n * theta_j})_j as floats plus a certified absolute error bound."""
     if n < 0:
@@ -144,8 +151,7 @@ def power_sum_norm(sys: ExponentSystem, n: int, dps: int = 50) -> NormValue:
         amplification = 0.0
         for g, z in zip(sys.bases, sys.zetas):
             zc = mp.mpmathify(z)
-            theta = mp.log(sys.L) / mp.log(g)
-            f = mp.frac(n * theta)
+            f = mp.frac(n * _theta_mp(sys.L, g, dps))
             total += zc * mp.power(g, f)
             amplification += abs(float(zc)) * g * math.log(g)
         norm = abs(total - mp.nint(total))

@@ -8,6 +8,14 @@ On top of that sit the large-spectrum enumeration with its analytic counting
 bound, the frequency-vector boxes used for multi-base counting, and a
 compactly supported bump function handled purely through its Fourier
 coefficients.
+
+The large-spectrum enumeration is a branch and bound over the digits of k,
+lowest first: factor i of |S(k)| depends only on k mod g^(R-i), so each new
+digit fixes one factor, and the factors not yet fixed are at most t. A
+subtree is pruned when its partial product times t^(unfixed) lies below
+the cut by more than a relative margin (1e-9, or 1e-14 per factor for very
+long families) that covers float rounding, so only k the exhaustive
+comparison would reject are skipped.
 """
 
 from __future__ import annotations
@@ -197,17 +205,56 @@ class SpectrumQuery:
 
 
 def large_spectrum_enumerate(query: SpectrumQuery) -> list[tuple[int, float]]:
-    """All k in the query range with |S(k)| >= eta * t^R, sorted by k."""
+    """All k in the query range with |S(k)| >= eta * t^R, sorted by k.
+
+    Branch and bound over the base-g digits of k, lowest first. Factor i of
+    |S(k)| is |sin(pi t x)/sin(pi x)| with x = (k mod g^(R-i)) / g^(R-i), so
+    once the low j digits of k are fixed, so is the factor for position R-j;
+    every factor not yet fixed is at most t. A subtree whose partial product
+    times t^(R-j) falls below cut * (1 - slack) is pruned. The walk fixes
+    min(K, R) digits in (K, eta) mode and min(exponent_bound, R) in (M, delta)
+    mode; a leaf stands for every k < count congruent to it mod g^depth.
+
+    The prune never changes the result: every surviving k is decided by
+    abs(exp_sum_product(family, k)) >= cut exactly as an exhaustive scan
+    would, so hits and magnitudes are bit-identical to that scan. The prune
+    is sound because each factor carries relative rounding error of a few
+    ulps (about 12 * 2^-53) in both the walk and exp_sum_product, so the
+    two products differ relatively by less than 3e-15 * R; slack =
+    max(1e-9, 1e-14 * R) exceeds that, so a pruned k would also fail
+    `mag >= cut`. Underflow adds an absolute error of at most about
+    R * 2^-1074 * t^R, negligible against cut = eta * t^R while
+    eta >= 1e-290; below that the walk prunes nothing. The value of
+    exp_sum_product depends only on k mod g^R, bit for bit, so one call per
+    leaf decides all of its k.
+    """
     count = query.frequency_count
     if count > query.budget:
         raise BudgetExceededError(f"{count} frequencies exceed budget {query.budget}")
     family = query.family
-    cut = query.threshold_eta * family.size
-    hits = []
-    for k in range(count):
-        mag = abs(exp_sum_product(family, k))
-        if mag >= cut:
-            hits.append((k, mag))
+    g, t, R = family.g, family.t, family.R
+    eta = query.threshold_eta
+    cut = eta * family.size
+    floor = cut * (1.0 - max(1e-9, 1e-14 * R)) if eta >= 1e-290 else 0.0
+    depth = min(query.exponent_bound, R)
+    caps = [float(t) ** (R - j) for j in range(depth + 1)]  # bound on the unfixed factors
+    hits: list[tuple[int, float]] = []
+
+    def walk(low: int, j: int, scale: int, partial: float) -> None:
+        # low = k mod scale, scale = g^j, partial = product of the fixed factors
+        if j == depth:
+            mag = abs(exp_sum_product(family, low))
+            if mag >= cut:
+                hits.extend((k, mag) for k in range(low, count, scale))
+            return
+        nxt = scale * g
+        for child in range(low, min(nxt, count), scale):
+            factor = abs(_sin_pi(t * child, nxt) / _sin_pi(child, nxt)) if child else float(t)
+            if partial * factor * caps[j + 1] >= floor:
+                walk(child, j + 1, nxt, partial * factor)
+
+    walk(0, 0, 1, 1.0)
+    hits.sort()
     return hits
 
 
@@ -427,8 +474,9 @@ def bump_property_report(
 
     for start in range(1, tail_cap + 1, chunk):
         ks = np.arange(start, min(start + chunk, tail_cap + 1), dtype=np.float64)
-        psi = np.ones_like(ks)
-        for c in cs:
+        first = np.sinc(cs[0] * delta * ks) ** 2
+        psi = first.copy()
+        for c in cs[1:]:
             psi *= np.sinc(c * delta * ks) ** 2
         base = np.minimum((J * J) / (delta * ks), 1.0)
         bad = psi > base**two_j
@@ -436,7 +484,6 @@ def bump_property_report(
             violations += int(bad.sum())
             if first_violation is None:
                 first_violation = int(ks[int(np.argmax(bad))])
-        first = np.sinc(cs[0] * delta * ks) ** 2
         coeff_sum += 2.0 * float(psi.sum())
         first_factor_sum += 2.0 * float(first.sum())
         for i, x in enumerate(points):

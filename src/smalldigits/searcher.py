@@ -183,7 +183,8 @@ def resumable_search(
     """
     d = search.resolved_driver()
     driver = search.specs[d]
-    others = [s for i, s in enumerate(search.specs) if i != d]
+    # a base with kappa = 1 has no large digit and can never reject
+    others = [s for i, s in enumerate(search.specs) if i != d and s.alphabet_size < s.g]
     a = driver.alphabet_size
     spec_dict = search.to_json_dict()
 

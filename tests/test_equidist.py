@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from smalldigits import (
     power_sum_norm,
     power_sum_separation_check,
 )
-from smalldigits.equidist import _primitive_power_base
+from smalldigits.equidist import _primitive_power_base, _theta_mp
 
 
 def _sys(bases, ell, L, zetas=()):
@@ -114,6 +115,21 @@ def test_power_sum_norm_weights():
     system = ExponentSystem((3,), 2, 2, (2,))
     norm = power_sum_norm(system, 1)
     assert norm.value <= norm.err
+
+
+def test_power_sum_norm_cached_theta_equals_fresh_mpmath():
+    system = _sys([3, 5, 7], 2, 8)
+    for dps in (50, 7, 30):
+        for g in system.bases:
+            with mp.workdps(dps):
+                fresh = mp.log(system.L) / mp.log(g)
+            assert _theta_mp(system.L, g, dps) == fresh
+        for n in (1, 12, 999):
+            with mp.workdps(dps):
+                total = sum(mp.power(g, mp.frac(n * (mp.log(system.L) / mp.log(g))))
+                            for g in system.bases)
+                expected = float(abs(total - mp.nint(total)))
+            assert power_sum_norm(system, n, dps=dps).value == expected
 
 
 # --- censuses --------------------------------------------------------------------

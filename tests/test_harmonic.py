@@ -11,10 +11,13 @@ tail at J = 1 comes from the exact sinc-square identity instead.
 
 import cmath
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalldigits import (
     BaseSpec,
@@ -31,6 +34,7 @@ from smalldigits import (
     large_spectrum_enumerate,
     spectrum_bound,
 )
+from smalldigits import harmonic
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -45,6 +49,19 @@ def brute_exp_sum(family, k):
         n = sum(d * family.g**i for i, d in enumerate(digits))
         total += cmath.exp(2j * cmath.pi * ((k * n) % N) / N)
     return total
+
+
+@lru_cache(maxsize=64)
+def _all_magnitudes(family, count):
+    return tuple(abs(exp_sum_product(family, k)) for k in range(count))
+
+
+def exhaustive_spectrum(query):
+    """The exhaustive scan the pruned walk replaced: every k in the range,
+    kept when abs(exp_sum_product) >= eta * t^R."""
+    cut = query.threshold_eta * query.family.size
+    mags = _all_magnitudes(query.family, query.frequency_count)
+    return [(k, mag) for k, mag in enumerate(mags) if mag >= cut]
 
 
 # --- product evaluation ------------------------------------------------------------
@@ -143,6 +160,69 @@ def test_large_spectrum_eta_one_only_zero_survives():
     hits = large_spectrum_enumerate(query)
     assert [k for k, _ in hits] == [0]
     assert hits[0][1] == pytest.approx(27.0)
+
+
+@st.composite
+def spectrum_queries(draw, cap=2048):
+    g = draw(st.integers(2, 13))
+    family = SmallDigitFamily(g, draw(st.integers(1, g - 1)), draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        k_max = 1
+        while k_max < family.R + 2 and g ** (k_max + 1) <= cap:
+            k_max += 1
+        K = draw(st.integers(1, k_max))
+        return SpectrumQuery(family, K=K, eta=draw(st.sampled_from([1.0, 0.5, 0.1, 0.001])))
+    M = draw(st.integers(2, cap))
+    return SpectrumQuery(family, M=M, delta=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0])))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(spectrum_queries())
+def test_pruned_spectrum_equals_exhaustive(query):
+    assert large_spectrum_enumerate(query) == exhaustive_spectrum(query)
+
+
+def test_pruned_spectrum_equals_exhaustive_on_acceptance_06_grid():
+    for g in (3, 5, 7, 11):
+        for t in range(2, math.ceil(g / 2) + 1):
+            for R in (1, 2, 3):
+                family = SmallDigitFamily(g, t, R)
+                for eta in (0.1, 0.3, 0.5, 0.9):
+                    query = SpectrumQuery(family, K=R, eta=eta)
+                    assert large_spectrum_enumerate(query) == exhaustive_spectrum(query)
+
+
+def test_pruned_spectrum_equals_exhaustive_on_bench_families():
+    # (g, t, R, K), eta and delta values of the analysis benchmark's spectrum jobs
+    families = (
+        (3, 2, 10, 8), (5, 3, 6, 5), (7, 4, 6, 4), (11, 6, 4, 3), (13, 7, 4, 3),
+        (5, 2, 8, 5), (7, 3, 6, 4), (3, 2, 12, 7), (7, 4, 8, 5), (3, 2, 16, 8),
+    )
+    for g, t, R, K in families:
+        family = SmallDigitFamily(g, t, R)
+        queries = [SpectrumQuery(family, K=K, eta=eta) for eta in (0.1, 0.15, 0.2, 0.3, 0.5)]
+        queries += [SpectrumQuery(family, M=g**K, delta=d) for d in (0.2, 0.3, 0.4)]
+        for query in queries:
+            assert large_spectrum_enumerate(query) == exhaustive_spectrum(query)
+
+
+def test_pruned_spectrum_evaluates_few_frequencies(monkeypatch):
+    calls = []
+
+    def counting(family, k):
+        calls.append(k)
+        return exp_sum_product(family, k)
+
+    monkeypatch.setattr(harmonic, "exp_sum_product", counting)
+    query = SpectrumQuery(SmallDigitFamily(7, 4, 8), K=5, eta=0.1)
+    hits = large_spectrum_enumerate(query)
+    assert len(hits) == 184
+    assert len(calls) < 2 * len(hits) < 7**5 // 40
+    # K > R: one evaluation per residue mod g^R decides all 9 of its k
+    calls.clear()
+    hits = large_spectrum_enumerate(SpectrumQuery(SmallDigitFamily(3, 2, 2), K=4, eta=0.5))
+    assert sorted(calls) == [0, 3, 6]
+    assert len(hits) == 9 * len({k % 9 for k, _ in hits}) == 18
 
 
 def test_spectrum_bound_eta_one_t_ten():

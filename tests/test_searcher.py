@@ -29,6 +29,7 @@ from smalldigits import (
     resumable_search,
     to_digits,
 )
+from smalldigits import searcher
 
 HALF = Fraction(1, 2)
 
@@ -220,6 +221,21 @@ def test_resumable_search_one_shot_matches(tmp_path):
     hits, finished = resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt")
     assert finished
     assert hits == multi_base_search(search)
+
+
+def test_resumable_search_never_checks_a_kappa_one_base(tmp_path, monkeypatch):
+    search = SearchSpec((BaseSpec(3, Fraction(1)), BaseSpec(7, Fraction(4, 7))), 20_000, driver=1)
+    checked = []
+
+    def recording(n, spec):
+        checked.append(spec.g)
+        return large_digit_count(n, spec)
+
+    monkeypatch.setattr(searcher, "large_digit_count", recording)
+    hits, finished = resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt")
+    assert finished
+    assert hits == multi_base_search(search) == odometer_hits(search)
+    assert 3 not in checked
 
 
 def test_resumable_search_drops_lines_written_after_the_checkpoint(tmp_path):
