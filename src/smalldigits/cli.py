@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -31,7 +32,7 @@ from .criteria import (
     prop_sum,
     theorem_sum,
 )
-from .digits import BaseSpec, large_digit_count, multi_base_profile, render_digit_grid, to_digits
+from .digits import BaseSpec, multi_base_profile, render_digit_grid, to_digits
 from .equidist import (
     ExponentSystem,
     bad_n_census,
@@ -520,6 +521,8 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.checkpoint_every < 1 or (args.max_candidates or 0) < 0:
+        raise argparse.ArgumentTypeError("need --checkpoint-every >= 1 and --max-candidates >= 0")
     specs = _resolve_specs(args)
     driver = None
     if args.driver_base is not None:
@@ -555,7 +558,7 @@ def _cmd_search(args) -> int:
         for n in hits:
             row = [str(n)]
             for s in specs:
-                row += [to_digits(n, s.g).render(), large_digit_count(n, s)]
+                row += [to_digits(n, s.g).render(), 0]  # a hit has no large digit
             rows.append(row)
         shown = rows if args.all else rows[:20]
         print(f"{len(hits)} hits below {args.limit}"
@@ -603,6 +606,7 @@ def _cmd_census(args) -> int:
 # --- parser construction -------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smalldigits",
@@ -709,11 +713,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-zero", action="store_true", help="omit the trivial hit 0")
     p.add_argument("--all", action="store_true", help="print every hit")
     p.add_argument("--budget", type=int, default=10**7,
-                   help="maximum number of digit-tree nodes visited")
+                   help="one-shot only: maximum number of digit-tree nodes visited")
     p.add_argument("--checkpoint", metavar="PATH", help="resumable: checkpoint file")
     p.add_argument("--hits", metavar="PATH", help="resumable: hits file")
-    p.add_argument("--max-candidates", type=int)
-    p.add_argument("--checkpoint-every", type=int, default=10_000)
+    p.add_argument("--max-candidates", type=int, help="resumable: driver candidates per call")
+    p.add_argument("--checkpoint-every", type=int, default=10_000,
+                   help="resumable: checkpoint after each this many driver candidates")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("census", parents=[common], help="central binomial coprimality census")

@@ -8,8 +8,8 @@ search walks a tree over the small digits of one driver base (by default
 the one with the smallest alphabet), most significant digit first, and
 prunes a subtree as soon as a digit that all of its integers share in
 another base is large; its cost follows the number of hits rather than the
-number of driver candidates. The checkpointed campaign still streams the
-driver odometer and filters each candidate.
+number of driver candidates. The one-shot and the checkpointed search are
+the same walk; a pruned subtree advances the checkpoint's cursor past it.
 """
 
 from __future__ import annotations
@@ -104,32 +104,43 @@ def enumerate_small(spec: BaseSpec, limit: int, budget: Optional[int] = None) ->
         m += 1
 
 
-def multi_base_search(search: SearchSpec, budget: Optional[int] = None) -> list[int]:
-    """All n in [0, limit) small in every base, ascending.
+def _walk(search: SearchSpec, start: int = 0, stop: Optional[int] = None,
+          budget: Optional[int] = None) -> Iterator[tuple[int, Optional[int]]]:
+    """The one search engine: a depth-first walk over the driver base's
+    small digits, most significant first. A node with prefix lo and k free
+    low digits covers [lo, lo + a_max*(g^k - 1)/(g - 1)], clipped to the
+    limit. The digits that both ends share in another base (divide both by
+    it until they agree) are those of every n in between, so one large one
+    prunes the subtree; a leaf has every digit checked.
 
-    Depth-first walk over the driver base's small digits, most significant
-    first. A node with prefix value lo and k free low digits covers
-    [lo, lo + a_max*(g^k - 1)/(g - 1)], clipped to the limit. In every
-    other base h, the digits that both ends of that interval share (found
-    by dividing both by h until they agree) are the same for every n in it,
-    so one large digit among them prunes the subtree. At a leaf the interval
-    is a single integer and every digit is checked. budget caps the number
-    of nodes visited; exceeding it raises.
+    The node's leaves are a^k consecutive driver-odometer indices (a: the
+    driver alphabet size). Nodes ending before index start are skipped
+    untested; the walk stops at index stop. It yields (index after the
+    node, n) for a hit leaf, else (that index, None), clipped to stop and
+    the candidate count. budget caps the nodes tested; exceeding it raises.
     """
     driver = search.specs[search.resolved_driver()]
     # a base with kappa = 1 has no large digit and can never prune
     others = [s for s in search.specs if s.g != driver.g and s.alphabet_size < s.g]
-    g, top = driver.g, driver.max_small_digit
+    g, top, a = driver.g, driver.max_small_digit, driver.alphabet_size
     last = search.limit - 1
-    depth = len(to_digits(last, g))
-    powers = [g**k for k in range(depth + 1)]
+    digits = to_digits(last, g).digits
+    total, tight = 0, True  # driver candidates below the prefix of last read so far
+    for d in reversed(digits):
+        total = total * a + (min(d, top + 1) if tight else 0)
+        tight = tight and d <= top
+    stop = total + tight if stop is None else min(stop, total + tight)
+    powers = [g**k for k in range(len(digits) + 1)]
+    sizes = [a**k for k in range(len(digits) + 1)]
     # spans[k]: the largest value k free driver digits can add
     spans = [top * (p - 1) // (g - 1) for p in powers]
-    hits = []
-    visited = 0
-    stack = [(0, depth)]
-    while stack:
-        lo, k = stack.pop()
+    cursor, visited = start, 0
+    stack = [(0, len(digits), 0)]  # (prefix value, free digits, index of first leaf)
+    while stack and cursor < stop:
+        lo, k, index = stack.pop()
+        end = index + sizes[k]
+        if end <= cursor:
+            continue
         if budget is not None and visited >= budget:
             raise BudgetExceededError(f"search budget {budget} exhausted")
         visited += 1
@@ -141,27 +152,26 @@ def multi_base_search(search: SearchSpec, budget: Optional[int] = None) -> list[
                 x //= h
                 y //= h
             if x and large_digit_count(x, s):
+                cursor = min(end, stop)
+                yield cursor, None
                 break
         else:
             if k == 0:
-                hits.append(lo)
+                cursor = end
+                yield cursor, lo
                 continue
             # push children in descending digit order so they pop ascending
             step = powers[k - 1]
             for d in range(min(top, (last - lo) // step), -1, -1):
-                stack.append((lo + d * step, k - 1))
-    return hits
+                stack.append((lo + d * step, k - 1, index + d * sizes[k - 1]))
+
+
+def multi_base_search(search: SearchSpec, budget: Optional[int] = None) -> list[int]:
+    """All n in [0, limit) small in every base, ascending (see _walk)."""
+    return [n for _, n in _walk(search, budget=budget) if n is not None]
 
 
 # --- checkpointed search ---------------------------------------------------
-
-
-def _digest_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def resumable_search(
@@ -171,24 +181,22 @@ def resumable_search(
     max_candidates: Optional[int] = None,
     checkpoint_every: int = 10_000,
 ) -> tuple[list[int], bool]:
-    """Run (or continue) a search, persisting progress.
+    """Run (or continue) the walk of multi_base_search, persisting progress.
 
-    The checkpoint JSON stores the search description, the next driver
-    odometer index, and the byte length and digest of the hits file written
-    so far. A resumed call verifies the search, cuts the hits file back to
-    that length (dropping lines a killed run wrote after its last
-    checkpoint), verifies the digest and continues. Returns (all hits so
-    far, finished flag). Interleave calls with max_candidates to bound the
-    work per invocation.
+    The cursor is a driver-odometer index: a leaf advances it by one, a
+    pruned subtree by the candidates under it, a call by at most
+    max_candidates; a call finishes when the candidates run out with budget
+    to spare. The checkpoint JSON (search, cursor, hits file length and
+    digest) is written at the end and, once per advance, at the last
+    multiple of checkpoint_every the cursor passed since the call began.
+    A resume verifies the search, cuts the hits file back to that length
+    (dropping lines a killed run wrote later), checks the digest and goes
+    on. Returns (all hits so far, finished).
     """
-    d = search.resolved_driver()
-    driver = search.specs[d]
-    # a base with kappa = 1 has no large digit and can never reject
-    others = [s for i, s in enumerate(search.specs) if i != d and s.alphabet_size < s.g]
-    a = driver.alphabet_size
+    if checkpoint_every < 1 or (max_candidates or 0) < 0:
+        raise ValueError("need checkpoint_every >= 1 and max_candidates >= 0")
     spec_dict = search.to_json_dict()
-
-    cursor = 0
+    state, data, digest = {}, b"", hashlib.sha256()
     if os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
@@ -198,14 +206,16 @@ def resumable_search(
             raise ValueError("checkpoint was written for a different search")
         if os.path.getsize(hits_path) > state["hits_bytes"]:
             os.truncate(hits_path, state["hits_bytes"])
-        if state["hits_digest"] != _digest_file(hits_path):
+        with open(hits_path, "rb") as fh:
+            data = fh.read()
+        digest.update(data)
+        if state["hits_digest"] != digest.hexdigest():
             raise ValueError("hits file does not match checkpoint digest")
-        cursor = state["cursor"]
-        if state.get("finished"):
-            hits = _read_hits(hits_path)
-            return hits, True
     else:
         open(hits_path, "w").close()
+    hits, hits_bytes = [int(line) for line in data.split()], len(data)
+    if state.get("finished"):
+        return hits, True
 
     def write_state(cur: int, finished: bool) -> None:
         state = {
@@ -213,8 +223,8 @@ def resumable_search(
             "search": spec_dict,
             "cursor": cur,
             "finished": finished,
-            "hits_bytes": os.path.getsize(hits_path),
-            "hits_digest": _digest_file(hits_path),
+            "hits_bytes": hits_bytes,
+            "hits_digest": digest.hexdigest(),
         }
         tmp = os.fspath(checkpoint_path) + ".tmp"
         with open(tmp, "w") as fh:
@@ -222,39 +232,24 @@ def resumable_search(
             fh.write("\n")
         os.replace(tmp, checkpoint_path)
 
-    finished = False
-    examined = 0
-    hits_fh = open(hits_path, "a")
-    try:
-        m = cursor
-        if a == 1 and cursor == 0:
-            hits_fh.write("0\n")
-            finished = True
-            m = 1
-        while not finished and a > 1:
-            if max_candidates is not None and examined >= max_candidates:
-                break
-            n = _remap(m, a, driver.g)
-            if n >= search.limit:
-                finished = True
-                break
-            if all(large_digit_count(n, s) == 0 for s in others):
-                hits_fh.write(f"{n}\n")
-            m += 1
-            examined += 1
-            if examined % checkpoint_every == 0:
+    cursor = start = state.get("cursor", 0)
+    stop = None if max_candidates is None else start + max_candidates
+    with open(hits_path, "ab") as hits_fh:
+        for end, n in _walk(search, start, stop):
+            if n is not None:
+                line = b"%d\n" % n
+                hits_fh.write(line)
+                digest.update(line)
+                hits_bytes += len(line)
+                hits.append(n)
+            mark = end - (end - start) % checkpoint_every
+            if mark > cursor:
                 hits_fh.flush()
-                write_state(m, False)
-        hits_fh.flush()
-    finally:
-        hits_fh.close()
-    write_state(m, finished)
-    return _read_hits(hits_path), finished
-
-
-def _read_hits(path: str) -> list[int]:
-    with open(path) as fh:
-        return [int(line) for line in fh if line.strip()]
+                write_state(mark, False)
+            cursor = end
+    finished = stop is None or cursor < stop
+    write_state(cursor, finished)
+    return hits, finished
 
 
 # --- density reporting ------------------------------------------------------

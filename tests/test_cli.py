@@ -2,9 +2,13 @@
 byte-for-byte determinism of the result files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smalldigits
 from smalldigits.cli import main
 
 
@@ -231,3 +235,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "smalldigits" in capsys.readouterr().out
+
+
+def test_back_to_back_calls_match_fresh_processes(capsys):
+    # main() builds its parser once per process; flags and defaults of one
+    # call must not leak into the next
+    calls = [
+        ["search", "--specs", "3:1/2,5:1/2", "--limit", "3000", "--all"],
+        ["search", "--bases", "3,5", "--limit", "3000", "--dry-run"],
+        ["search", "--bases", "3,5", "--limit", "3000"],
+        ["kummer", "756"],
+        ["kummer", "756", "--primes", "3,5"],
+        ["kummer", "756", "--dry-run"],
+        ["conditions", "conjecture", "--specs", "3:1/2,5:1/2,7:1/2"],
+    ]
+    in_process = [run_cli(argv, capsys)[:2] for argv in calls]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(smalldigits.__file__)))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "smalldigits.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh

@@ -51,6 +51,16 @@ CASES = {
     "census": ["census", "--limit", "2000"],
 }
 
+# name -> (argv, slices): the argv runs `slices` times against one checkpoint.
+# 560 driver candidates lie below the limit, so the eighth slice ends exactly
+# on the last one (not finished) and the ninth finishes the campaign. Recorded
+# while the checkpointed search still filtered the driver odometer.
+SLICED = {
+    "search-sliced": (["search", "--specs", "3:1/2,5:1/2,7:1/2", "--limit", "20000",
+                       "--checkpoint", "{out}/c.json", "--hits", "{out}/h.txt",
+                       "--max-candidates", "70", "--checkpoint-every", "9"], 9),
+}
+
 # name -> (exit code, result.json, result.csv, report, dry-run manifest)
 GOLDEN = {
     "blocks": (
@@ -181,6 +191,24 @@ GOLDEN = {
     ),
 }
 
+# name -> (exit codes, joined result.json, joined result.csv, joined report,
+# dry-run manifest, final checkpoint JSON)
+GOLDEN_SLICED = {
+    "search-sliced": (
+        (0,) * 9,
+        "76eb49371f371c91ad2a530fbe91194ed900542ac7341c0a8ebec452791e8923",
+        "c99c7e1b3e5eab6066afe0106fee00353bb9c08c4b7e1ece26dbed36f0da30a6",
+        "4745c12c0f256afea2cd1b6684a39efdc24af6545c0e18ed90a5841a468e5fe3",
+        "f3c5affc4e87ba0620681d2bc450bc988f3f6f768ae56e00dec37a50d499f2c3",
+        '{\n  "cursor": 560,\n  "finished": true,\n  "format": 2,\n  "hits_bytes": 50,\n'
+        '  "hits_digest": "b4ad61de33ffe5c36e45c3b1a189d7110fcf70dc3645f08da532a0c1a2f41c5c",\n'
+        '  "search": {\n    "driver": 0,\n    "limit": 20000,\n    "specs": [\n'
+        '      {\n        "g": 3,\n        "kappa": "1/2"\n      },\n'
+        '      {\n        "g": 5,\n        "kappa": "1/2"\n      },\n'
+        '      {\n        "g": 7,\n        "kappa": "1/2"\n      }\n    ]\n  }\n}\n',
+    ),
+}
+
 # argv -> (dry-run exit code, run exit code); 2 is a usage error
 ERROR_ORDER = [
     (["search", "--bases", "3,5", "--limit", "100", "--driver-base", "7"], 2, 2),
@@ -190,6 +218,10 @@ ERROR_ORDER = [
     (["conditions", "egrs", "--bases", "3,5,7"], 0, 2),
     (["egrs", "--g1", "4", "--g2", "6", "--start", "3"], 0, 1),
     (["search", "--specs", "3:1/2,5:1/2", "--limit", str(10**12), "--budget", "100"], 0, 3),
+    (["search", "--bases", "3,5", "--limit", "100", "--checkpoint", "c.json",
+      "--hits", "h.json", "--checkpoint-every", "0"], 2, 2),
+    (["search", "--bases", "3,5", "--limit", "100", "--checkpoint", "c.json",
+      "--hits", "h.json", "--max-candidates", "-1"], 2, 2),
 ]
 
 
@@ -207,29 +239,54 @@ def _call(argv) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def observe(argv, out_dir: str) -> tuple:
     argv = [a.replace("{out}", out_dir) for a in argv]
     code, report = _call([*argv, "--out", out_dir])
     subdir = os.path.join(out_dir, argv[0])
     (run_hash,) = os.listdir(subdir)
     run_dir = os.path.join(subdir, run_hash)
-    with open(os.path.join(run_dir, "result.json"), "rb") as fh:
-        result_json = fh.read()
-    with open(os.path.join(run_dir, "result.csv"), "rb") as fh:
-        result_csv = fh.read()
     _, dry = _call([*argv, "--dry-run"])
     return (
         code,
-        _sha(result_json),
-        _sha(result_csv),
+        _sha(_read(os.path.join(run_dir, "result.json"))),
+        _sha(_read(os.path.join(run_dir, "result.csv"))),
         _sha(report.replace(out_dir, "<out>").encode()),
         _sha(dry.encode()),
     )
 
 
+def observe_slices(argv, slices: int, out_dir: str) -> tuple:
+    """Run argv `slices` times in one directory. Returns the exit codes, the
+    digests of every slice's result.json, result.csv and report (each list
+    joined), the dry-run manifest's digest and the final checkpoint JSON."""
+    argv = [a.replace("{out}", out_dir) for a in argv]
+    codes, results, tables, reports = [], b"", b"", ""
+    for _ in range(slices):
+        code, report = _call([*argv, "--out", out_dir])
+        (run_hash,) = os.listdir(os.path.join(out_dir, argv[0]))
+        run_dir = os.path.join(out_dir, argv[0], run_hash)
+        codes.append(code)
+        results += _read(os.path.join(run_dir, "result.json"))
+        tables += _read(os.path.join(run_dir, "result.csv"))
+        reports += report.replace(out_dir, "<out>")
+    _, dry = _call([*argv, "--dry-run"])
+    checkpoint = _read(argv[argv.index("--checkpoint") + 1]).decode()
+    return tuple(codes), _sha(results), _sha(tables), _sha(reports.encode()), _sha(dry.encode()), checkpoint
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_run(name, tmp_path):
     assert observe(CASES[name], str(tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SLICED))
+def test_golden_slices(name, tmp_path):
+    assert observe_slices(*SLICED[name], str(tmp_path)) == GOLDEN_SLICED[name]
 
 
 @pytest.mark.parametrize("argv, dry_code, run_code", ERROR_ORDER)
@@ -245,3 +302,6 @@ if __name__ == "__main__":
             code, *digests = observe(CASES[case], tmp)
         print(f'    "{case}": (\n        {code},')
         print("".join(f'        "{d}",\n' for d in digests) + "    ),")
+    for case in sorted(SLICED):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{case}": {observe_slices(*SLICED[case], tmp)!r},')

@@ -4,13 +4,19 @@ The master oracle is the brute-force filter: walk every integer below the
 limit and keep those whose digits are all small in every base. The odometer
 enumerator must agree with it exactly, at every tested limit. The pruned
 digit-tree search is also checked against the odometer scan it replaced,
-kept here as a reference where both can run.
+and its checkpointed slices against the odometer slice loop, both kept here
+as references where they can run.
 """
 
+import hashlib
 import json
 import math
+import os
 import random
+import tempfile
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +62,49 @@ def odometer_hits(search):
         n for n in enumerate_small(driver, search.limit)
         if all(large_digit_count(n, s) == 0 for s in others)
     ]
+
+
+def odometer_decisions(search):
+    """(candidate, is it a hit) for every driver candidate, in odometer order."""
+    driver = search.specs[search.resolved_driver()]
+    others = [s for s in search.specs if s.g != driver.g]
+    return [
+        (n, all(large_digit_count(n, s) == 0 for s in others))
+        for n in enumerate_small(driver, search.limit)
+    ]
+
+
+def odometer_slices(decisions, sizes):
+    """The slice loop of the checkpointed search before it walked the digit
+    tree: each call decides the candidates from the cursor on, one at a
+    time, at most `size` of them (None: no cap), and finishes when it finds
+    the candidate list exhausted with budget to spare. Yields the cursor and
+    the finished flag after each call."""
+    cursor, finished = 0, False
+    for size in sizes:
+        examined = 0
+        while not finished and (size is None or examined < size):
+            if cursor == len(decisions):
+                finished = True
+                break
+            cursor += 1
+            examined += 1
+        yield cursor, finished
+
+
+def odometer_state(search, decisions, cursor, finished):
+    """The checkpoint the odometer loop writes at a cursor, and its hits."""
+    hits = [n for n, hit in decisions[:cursor] if hit]
+    data = "".join(f"{n}\n" for n in hits).encode()
+    state = {
+        "format": 2,
+        "search": search.to_json_dict(),
+        "cursor": cursor,
+        "finished": finished,
+        "hits_bytes": len(data),
+        "hits_digest": hashlib.sha256(data).hexdigest(),
+    }
+    return state, hits
 
 
 # --- single-base enumeration ----------------------------------------------------
@@ -133,11 +182,11 @@ def test_driver_override_same_hits():
 
 
 @st.composite
-def search_specs(draw):
+def search_specs(draw, max_limit=30_000):
     bases = draw(st.lists(st.integers(2, 16), min_size=1, max_size=4, unique=True))
     specs = tuple(BaseSpec(g, Fraction(draw(st.integers(1, g)), g)) for g in bases)
     driver = draw(st.one_of(st.none(), st.integers(0, len(specs) - 1)))
-    return SearchSpec(specs, draw(st.integers(1, 30_000)), driver)
+    return SearchSpec(specs, draw(st.integers(1, max_limit)), driver)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -263,6 +312,139 @@ def test_resumable_search_rejects_mismatched_checkpoint(tmp_path):
     resumable_search(SearchSpec((BaseSpec(3, HALF),), 100), ckpt, hits_file)
     with pytest.raises(ValueError):
         resumable_search(SearchSpec((BaseSpec(5, HALF),), 100), ckpt, hits_file)
+
+
+def run_slices(search, sizes, every, tmp):
+    """Call resumable_search once per slice size. Yields, per call, the
+    returned (hits, finished), the final checkpoint and every checkpoint
+    state written during the call."""
+    ckpt, hits_file = os.path.join(tmp, "c.json"), os.path.join(tmp, "h.txt")
+    written = []
+    real_replace = os.replace
+
+    def recording(src, dst):
+        with open(src) as fh:
+            written.append(json.load(fh))
+        real_replace(src, dst)
+
+    with mock.patch.object(searcher.os, "replace", recording):
+        for size in sizes:
+            written.clear()
+            returned = resumable_search(search, ckpt, hits_file, size, every)
+            with open(ckpt) as fh:
+                yield returned, json.load(fh), list(written)
+
+
+SLICE_SIZES = st.lists(
+    st.one_of(st.none(), st.sampled_from([0, 1, 7, 48, 500]), st.integers(0, 3000)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(search_specs(), SLICE_SIZES)
+def test_tree_slices_equal_odometer_slices(search, sizes):
+    decisions = odometer_decisions(search)
+    with tempfile.TemporaryDirectory() as tmp:
+        for (cursor, finished), (returned, final, _) in zip(
+            odometer_slices(decisions, sizes), run_slices(search, sizes, 10_000, tmp)
+        ):
+            state, hits = odometer_state(search, decisions, cursor, finished)
+            assert (returned, final) == ((hits, finished), state)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(search_specs(max_limit=3000), SLICE_SIZES, st.integers(1, 60))
+def test_checkpoints_written_on_the_way_are_odometer_checkpoints(search, sizes, every):
+    # A checkpoint written before the end of a call sits at a multiple of
+    # `every` counted from the call's start, as in the odometer loop, and
+    # matches the hits below its cursor, so a run killed there resumes
+    # correctly. A pruned subtree that passes several multiples writes one.
+    decisions = odometer_decisions(search)
+    with tempfile.TemporaryDirectory() as tmp:
+        start = 0
+        for (cursor, finished), (_, final, written) in zip(
+            odometer_slices(decisions, sizes), run_slices(search, sizes, every, tmp)
+        ):
+            if written:  # a finished checkpoint is not written again
+                assert written[-1] == final
+            marks = [w["cursor"] for w in written[:-1]]
+            assert marks == sorted(set(marks))
+            last_multiple = start + (cursor - start) // every * every
+            assert marks[-1:] == ([last_multiple] if last_multiple > start else [])
+            for w in written[:-1]:
+                assert w["cursor"] > start and (w["cursor"] - start) % every == 0
+                assert w == odometer_state(search, decisions, w["cursor"], False)[0]
+            start = cursor
+
+
+def test_tree_slices_equal_odometer_slices_on_the_campaign_specs():
+    # every driver candidate is a hit, as in the bench campaigns: the slices
+    # end on leaves, never inside a pruned subtree
+    search = SearchSpec((BaseSpec(3, Fraction(1)), BaseSpec(7, Fraction(4, 7))), 4000, driver=1)
+    decisions = odometer_decisions(search)
+    assert all(hit for _, hit in decisions)
+    sizes = [48] * (len(decisions) // 48 + 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        for (cursor, finished), (returned, final, _) in zip(
+            odometer_slices(decisions, sizes), run_slices(search, sizes, 10_000, tmp)
+        ):
+            state, hits = odometer_state(search, decisions, cursor, finished)
+            assert (returned, final) == ((hits, finished), state)
+
+
+def test_one_symbol_driver_follows_the_slice_rule(tmp_path):
+    # kappa = 1/3: only the digit 0 is small in base 3, so 0 is the one
+    # driver candidate
+    search = SearchSpec((BaseSpec(3, Fraction(1, 3)), BaseSpec(5, HALF)), 1000)
+    ckpt, hits_file = tmp_path / "c.json", tmp_path / "h.txt"
+    assert resumable_search(search, ckpt, hits_file, max_candidates=0) == ([], False)
+    assert json.loads(ckpt.read_text())["cursor"] == 0
+    assert resumable_search(search, ckpt, hits_file, max_candidates=1) == ([0], False)
+    assert json.loads(ckpt.read_text())["cursor"] == 1
+    assert resumable_search(search, ckpt, hits_file, max_candidates=1) == ([0], True)
+    assert hits_file.read_text() == "0\n"
+    one_shot = resumable_search(search, tmp_path / "c2.json", tmp_path / "h2.txt")
+    assert one_shot == ([0], True) == (multi_base_search(search), True)
+
+
+def test_walk_ends_at_the_candidate_count():
+    # a pruned subtree reaching past the limit advances the cursor only to
+    # the number of driver candidates below the limit
+    rng = random.Random(5)
+    for _ in range(300):
+        bases = rng.sample(range(2, 14), rng.randint(1, 3))
+        search = SearchSpec(tuple(BaseSpec(g, Fraction(rng.randint(1, g), g)) for g in bases),
+                            rng.choice([1, 2, bases[0], bases[0] ** 2, rng.randint(1, 5000)]), 0)
+        count = sum(1 for _ in enumerate_small(search.specs[0], search.limit))
+        assert [end for end, _ in searcher._walk(search)][-1:] == [count]
+
+
+def test_sliced_campaign_to_10_12_equals_one_shot(tmp_path):
+    # 3,5,7 below 10^12: 50,331,648 driver candidates, 17 hits
+    search = SearchSpec(tuple(BaseSpec(p, HALF) for p in (3, 5, 7)), 10**12)
+    total = 50_331_648
+    ckpt, hits_file = tmp_path / "c.json", tmp_path / "h.txt"
+    started = time.perf_counter()
+    for i in range(32):
+        hits, finished = resumable_search(
+            search, ckpt, hits_file, max_candidates=total // 32 + 1, checkpoint_every=1000
+        )
+        assert finished == (i == 31)
+    elapsed = time.perf_counter() - started
+    assert hits == multi_base_search(search)
+    assert len(hits) == 17
+    assert json.loads(ckpt.read_text())["cursor"] == total
+    assert elapsed < 1  # the odometer loop would take minutes
+
+
+def test_resumable_search_rejects_bad_slice_inputs(tmp_path):
+    search = SearchSpec((BaseSpec(3, HALF),), 100)
+    with pytest.raises(ValueError):
+        resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt", checkpoint_every=0)
+    with pytest.raises(ValueError):
+        resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt", max_candidates=-1)
+    assert not (tmp_path / "c.json").exists()
 
 
 # --- census and duality -----------------------------------------------------------
