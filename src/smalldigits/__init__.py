@@ -64,7 +64,7 @@ from .harmonic import (
     large_spectrum_enumerate,
     spectrum_bound,
 )
-from .kummer import GrahamSplit, central_binom_valuation, graham_split, is_prime, lucas_coprime_oracle
+from .kummer import GrahamSplit, central_binom_valuation, graham_split, is_prime
 from .searcher import (
     DensityReport,
     SearchSpec,
@@ -89,7 +89,6 @@ __all__ = [
     "central_binom_valuation",
     "GrahamSplit",
     "graham_split",
-    "lucas_coprime_oracle",
     "ConditionReport",
     "conjecture_sum",
     "theorem_sum",

@@ -440,7 +440,7 @@ def _cmd_equidist(args) -> int:
         }
 
         def body():
-            est = discrepancy_estimate(system, args.N, grid=args.grid)
+            est = discrepancy_estimate(system, args.N, grid=args.grid, budget=args.budget)
             print(f"discrepancy estimate at N={args.N}: {est}")
             result = {"system": system.to_json_dict(), "N": args.N, "grid": args.grid,
                       "estimate": est}
@@ -682,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", type=lambda t: tuple(float(x) for x in t.split(",")),
                    default=(0.1, 0.05, 0.01))
     p.add_argument("--dps", type=int, default=50)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=10**6,
+                   help="census and discrepancy modes: largest N")
     p.set_defaults(handler=_cmd_equidist)
 
     p = sub.add_parser("lattice", parents=[common], help="exhaustive lattice minimum")

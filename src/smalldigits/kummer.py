@@ -6,8 +6,8 @@ and a digit equal to (p - 1)/2 passes an incoming carry along, so the carry
 count can exceed the number of large digits (n = 5, p = 3 has one large digit
 but valuation 2). Only the zero/nonzero question reduces to digit counting:
 C(2n, n) is coprime to p exactly when every base-p digit of n is < p/2. The
-factorial-formula oracle used to validate all of this lives in the test
-suite.
+factorial-formula and Lucas-theorem oracles used to validate all of this
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digits import to_digits
+from .digits import to_digits  # unused here; bench/tracer.py wraps kummer.to_digits
 
 # Deterministic Miller-Rabin witness set for every modulus below 3.3e24,
 # which covers all 64-bit inputs.
@@ -119,19 +119,3 @@ def graham_split(n: int, primes: Sequence[int]) -> GrahamSplit:
         ratio = math.log(n2) / math.log(n)
     return GrahamSplit(n, primes, vals, n2, ratio)
 
-
-def lucas_coprime_oracle(n: int, p: int) -> bool:
-    """True iff C(2n, n) is coprime to p, decided digit-wise: the product of
-    C(m_i, n_i) over base-p digit pairs of 2n and n is nonzero mod p exactly
-    when no digit pair has n_i > m_i. Independent of the valuation path."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_prime(p)
-    top = to_digits(2 * n, p)
-    bottom = to_digits(n, p)
-    acc = 1
-    for k in range(len(top)):
-        m_i = top.digit_at(k)
-        n_i = bottom.digit_at(k)
-        acc = acc * (math.comb(m_i, n_i) % p) % p
-    return acc != 0

@@ -23,7 +23,8 @@ from typing import Iterator, Optional, Sequence
 
 from .digits import BaseSpec, large_digit_count, to_digits
 from .errors import BudgetExceededError
-from .kummer import GrahamSplit, central_binom_valuation, graham_split
+from .kummer import GrahamSplit, _require_prime, graham_split
+from .kummer import central_binom_valuation  # unused here; bench/tracer.py wraps it
 
 _CHECKPOINT_FORMAT = 2
 
@@ -312,16 +313,30 @@ def density_vs_heuristic(
     return DensityReport(tuple(specs), thresholds, tuple(counts), slope, heuristic)
 
 
+def _no_carry(n: int, p: int) -> bool:
+    """True iff adding n to itself in base p carries nowhere, i.e. p does not
+    divide C(2n, n) (Kummer). The first carry comes at the lowest digit
+    d with 2d >= p, so the scan stops there."""
+    while n:
+        n, d = divmod(n, p)
+        if 2 * d >= p:
+            return False
+    return True
+
+
 def graham_census(limit: int, primes: Sequence[int] = (3, 5, 7), budget: int = 10**6) -> list[GrahamSplit]:
     """Every n in [1, limit] whose central binomial coefficient is coprime to
-    all the given primes, found by the valuation route (not the digit
-    search, so the two can cross-check each other)."""
+    all the given primes. This is the valuation route: per n and prime, the
+    carries of n + n in base p, stopped at the first one (_no_carry); each
+    hit is then split with graham_split. It never uses the digit-tree
+    search, so the two cross-check each other. Every prime is checked once,
+    up front: a composite raises ValueError even when no n would reach it."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > budget:
         raise BudgetExceededError(f"census limit {limit} exceeds budget {budget}")
-    out = []
-    for n in range(1, limit + 1):
-        if all(central_binom_valuation(n, p) == 0 for p in primes):
-            out.append(graham_split(n, primes))
-    return out
+    primes = tuple(primes)
+    for p in primes:
+        _require_prime(p)
+    return [graham_split(n, primes) for n in range(1, limit + 1)
+            if all(_no_carry(n, p) for p in primes)]

@@ -181,6 +181,22 @@ def test_search_resumable_via_cli(tmp_path, capsys):
     assert json.loads(ckpt.read_text())["finished"]
 
 
+def test_census_rejects_composite_prime_even_when_never_reached(capsys):
+    code, out, err = run_cli(["census", "--primes", "2,4", "--limit", "1000"], capsys)
+    assert code == 1
+    assert "error: 4 is not prime" in err
+    assert out == ""
+
+
+def test_equidist_discrepancy_honours_budget(capsys):
+    argv = ["equidist", "discrepancy", "--bases", "3", "--L", "2", "--N", "2000000"]
+    code, _, err = run_cli([*argv, "--budget", "10"], capsys)
+    assert code == 3
+    assert "budget exceeded" in err
+    code, out, _ = run_cli([*argv[:-1], "5000", "--budget", "5000"], capsys)
+    assert code == 0 and "discrepancy estimate at N=5000" in out
+
+
 def test_census_all_flag(capsys):
     code, out, _ = run_cli(["census", "--limit", "1000", "--all"], capsys)
     assert code == 0

@@ -3,7 +3,8 @@
 Oracle: the Legendre factorial formula v_p(m!) = sum_i floor(m/p^i), applied
 as v_p(binom(2n,n)) = v_p((2n)!) - 2 v_p(n!). It never looks at digits, so
 it is independent of the implementation under test. A second oracle does
-trial division of math.comb directly for small n.
+trial division of math.comb directly for small n, and a third decides
+coprimality digit-wise by Lucas's theorem.
 """
 
 import math
@@ -15,7 +16,7 @@ from smalldigits import (
     central_binom_valuation,
     graham_split,
     is_prime,
-    lucas_coprime_oracle,
+    to_digits,
 )
 
 
@@ -40,6 +41,18 @@ def trial_division_valuation(value: int, p: int) -> int:
         value //= p
         v += 1
     return v
+
+
+def lucas_coprime_oracle(n: int, p: int) -> bool:
+    """True iff C(2n, n) is coprime to p, decided digit-wise: the product of
+    C(m_i, n_i) over base-p digit pairs of 2n and n is nonzero mod p exactly
+    when no digit pair has n_i > m_i. Independent of the valuation path."""
+    top = to_digits(2 * n, p)
+    bottom = to_digits(n, p)
+    acc = 1
+    for k in range(len(top)):
+        acc = acc * (math.comb(top.digit_at(k), bottom.digit_at(k)) % p) % p
+    return acc != 0
 
 
 # --- valuation equivalences ----------------------------------------------------

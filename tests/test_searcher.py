@@ -26,6 +26,7 @@ from smalldigits import (
     BaseSpec,
     BudgetExceededError,
     SearchSpec,
+    central_binom_valuation,
     density_vs_heuristic,
     enumerate_small,
     graham_census,
@@ -35,7 +36,7 @@ from smalldigits import (
     resumable_search,
     to_digits,
 )
-from smalldigits import searcher
+from smalldigits import kummer, searcher
 
 HALF = Fraction(1, 2)
 
@@ -477,6 +478,24 @@ def test_census_duality_with_search():
 def test_census_budget():
     with pytest.raises(BudgetExceededError):
         graham_census(10**7, budget=100)
+
+
+def test_census_equals_full_valuation_scan():
+    # the loop the early-exit census replaced: every valuation, every n
+    for primes in ((3, 5, 7), (2,), (5,), (11, 13), (3, 17), (7, 3)):
+        expected = [graham_split(n, primes) for n in range(1, 3001)
+                    if all(central_binom_valuation(n, p) == 0 for p in primes)]
+        assert graham_census(3000, primes) == expected
+
+
+def test_census_tests_each_prime_once_up_front():
+    real = kummer.is_prime
+    with mock.patch.object(kummer, "is_prime", side_effect=real) as spy:
+        hits = graham_census(2000, (3, 5, 7))
+    # three up-front checks, then graham_split's own check per hit and prime
+    assert spy.call_count == 3 + 3 * len(hits)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        graham_census(1000, (2, 4))  # no n gets past 2, so the scan never meets 4
 
 
 def test_census_rows_match_graham_split():
