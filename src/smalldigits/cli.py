@@ -32,7 +32,7 @@ from .criteria import (
     prop_sum,
     theorem_sum,
 )
-from .digits import BaseSpec, multi_base_profile, render_digit_grid, to_digits
+from .digits import BaseSpec, multi_base_profile, render_digit_grid, render_many, to_digits
 from .equidist import (
     ExponentSystem,
     bad_n_census,
@@ -136,8 +136,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -523,6 +522,8 @@ def _cmd_conditions(args) -> int:
 def _cmd_search(args) -> int:
     if args.checkpoint_every < 1 or (args.max_candidates or 0) < 0:
         raise argparse.ArgumentTypeError("need --checkpoint-every >= 1 and --max-candidates >= 0")
+    if not args.checkpoint and (args.hits or args.max_candidates is not None):
+        raise argparse.ArgumentTypeError("--hits and --max-candidates need --checkpoint")
     specs = _resolve_specs(args)
     driver = None
     if args.driver_base is not None:
@@ -551,15 +552,13 @@ def _cmd_search(args) -> int:
             hits = multi_base_search(search, budget=args.budget)
         if args.drop_zero:
             hits = [n for n in hits if n != 0]
-        profile_header = ["n"]
+        names = [str(n) for n in hits]
+        zeros = [0] * len(hits)  # a hit has no large digit
+        profile_header, columns = ["n"], [names]
         for s in specs:
             profile_header += [f"digits_{s.g}", f"large_{s.g}"]
-        rows = []
-        for n in hits:
-            row = [str(n)]
-            for s in specs:
-                row += [to_digits(n, s.g).render(), 0]  # a hit has no large digit
-            rows.append(row)
+            columns += [render_many(hits, s.g), zeros]
+        rows = list(zip(*columns))
         shown = rows if args.all else rows[:20]
         print(f"{len(hits)} hits below {args.limit}"
               + ("" if finished else " so far (not finished)"))
@@ -571,7 +570,7 @@ def _cmd_search(args) -> int:
             "search": search.to_json_dict(),
             "count": len(hits),
             "finished": finished,
-            "hits": [str(n) for n in hits[:_JSON_HITS_CAP]],
+            "hits": names[:_JSON_HITS_CAP],
             "hits_truncated": len(hits) > _JSON_HITS_CAP,
         }
         return result, profile_header, rows, EXIT_OK

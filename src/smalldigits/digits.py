@@ -8,6 +8,7 @@ comparison against kappa*g; no floats are involved anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,13 +103,7 @@ class DigitVector:
 
     def render(self) -> str:
         """Human form '(d_m...d_1d_0)_g', most-significant digit first."""
-        if not self.digits:
-            body = "0"
-        elif self.base <= 10:
-            body = "".join(str(d) for d in reversed(self.digits))
-        else:
-            body = ",".join(str(d) for d in reversed(self.digits))
-        return f"({body})_{self.base}"
+        return render_many((from_digits(self),), self.base)[0]
 
     def to_json_dict(self) -> dict:
         return {"base": self.base, "digits_lsb": list(self.digits)}
@@ -127,6 +122,54 @@ def to_digits(n: int, g: int) -> DigitVector:
         n, d = divmod(n, g)
         out.append(d)
     return DigitVector(g, tuple(out))
+
+
+_TABLE_CAP = 512  # most entries in one chunk table
+
+
+@functools.cache
+def _chunk_tables(g: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(padded, top) for the largest k with g^k <= _TABLE_CAP: padded[c] is
+    the chunk c as k digits with leading zeros, top[c] the same without them
+    ('0' for c = 0). Digits are separated by ',' above base 10."""
+    sep = "" if g <= 10 else ","
+    digits = [str(d) for d in range(g)]
+    top = padded = digits
+    while len(padded) * g <= _TABLE_CAP:
+        top = top + [hi + sep + lo for hi in digits[1:] for lo in padded]
+        padded = [hi + sep + lo for hi in digits for lo in padded]
+    return tuple(padded), tuple(top)
+
+
+def render_many(ns: Sequence[int], g: int) -> list[str]:
+    """The form '(d_m...d_1d_0)_g' of each n >= 0, in order: digits most
+    significant first, separated by ',' above base 10, zero as '(0)_g'.
+
+    Up to base 512 each n is cut into k-digit chunks (g^k <= 512) and every
+    chunk is a lookup in a per-base table built on first use; above 512 a
+    chunk is one digit, converted directly, so no table exceeds 512 entries.
+    """
+    if g < 2:
+        raise ValueError(f"base must be >= 2, got {g}")
+    if ns and min(ns) < 0:
+        raise ValueError(f"n must be non-negative, got {min(ns)}")
+    if g <= _TABLE_CAP:
+        padded, top = _chunk_tables(g)
+        size, chunk, head = len(padded), padded.__getitem__, top.__getitem__
+    else:
+        size, chunk, head = g, str, str
+    sep = "" if g <= 10 else ","
+    suffix = f")_{g}"
+    out = []
+    for n in ns:
+        parts = []
+        while n >= size:
+            n, c = divmod(n, size)
+            parts.append(chunk(c))
+        parts.append(head(n))
+        parts.reverse()
+        out.append("(" + sep.join(parts) + suffix)
+    return out
 
 
 def from_digits(dv: DigitVector) -> int:

@@ -166,11 +166,16 @@ class NormValue:
 def _norm_err(sys: ExponentSystem, n, dps: int):
     """The formal error bound of power_sum_norm(sys, n, dps); n may be an
     int or a numpy array. Fractional parts lose about log10(n) digits, and
-    each term amplifies that by |zeta| * g * ln g."""
+    each term amplifies that by |zeta| * g * ln g. mpmath's {n theta} is off
+    by up to about 8 n theta 2^-prec with 2^-prec <= 0.15 10^-dps, which
+    (n + 1) 10^(1 - dps) covers only while theta = ln L / ln g <= 8, so a
+    base's term grows by theta / 8 beyond that."""
     with mp.workdps(dps):
         amplification = 0.0
         for g, z in zip(sys.bases, sys.zetas):
-            amplification += abs(float(mp.mpmathify(z))) * g * math.log(g)
+            theta = math.log(sys.L) / math.log(g)
+            slope = abs(float(mp.mpmathify(z))) * g * math.log(g)
+            amplification += slope * max(1.0, theta / 8)
     return amplification * (n + 1) * 10.0 ** (1 - dps) + (sys.r + 2) * 10.0 ** (2 - dps)
 
 
@@ -286,8 +291,7 @@ def bad_n_census(
     |v1 - norm| <= err1 + err, err = _norm_err(sys, n, dps). Where every
     epsilon < 0.5 has |v1 - epsilon| > err1 + 2 err, the norm lies on v1's
     side of each epsilon and farther than err from it, so v1 decides; the
-    other n (tier 2) call power_sum_norm. (err is widened where
-    theta = ln L / ln g exceeds 8, see below.)
+    other n (tier 2) call power_sum_norm.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -302,16 +306,11 @@ def bad_n_census(
     counts = [0] * len(eps)
     indet = [0] * len(eps)
     examples: list[list[int]] = [[] for _ in eps]
-    # mpmath's {n theta} is off by up to about 8 n theta 2^-prec, with
-    # 2^-prec <= 0.15 10^-dps, which _norm_err's (n + 1) 10^(1 - dps) covers
-    # only while theta <= 8; beyond that the window grows with theta, so
-    # tier 1 never decides an n where mpmath may stray past its bound.
-    spread = max(1.0, max(math.log(sys.L) / math.log(g) for g in sys.bases) / 8)
     for start in range(1, N + 1, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, N + 1), dtype=np.uint64)
         value, err1 = _float_norms(sys, ns)
         err = _norm_err(sys, ns, dps)
-        window = err1 + 2 * spread * err
+        window = err1 + 2 * err
         tier2 = np.zeros(len(ns), dtype=bool)
         for e in eps:
             if e < 0.5:

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalldigits import (
     BaseSpec,
@@ -20,7 +22,7 @@ from smalldigits import (
     render_digit_grid,
     to_digits,
 )
-from smalldigits.digits import window_positions
+from smalldigits.digits import _chunk_tables, render_many, window_positions
 
 
 # --- oracles -------------------------------------------------------------------
@@ -91,6 +93,75 @@ def test_render_worked_example():
 def test_render_wide_base_uses_commas():
     assert to_digits(255, 16).render() == "(15,15)_16"
     assert to_digits(64, 64).render() == "(1,0)_64"
+
+
+def per_digit_render(n: int, g: int) -> str:
+    """The renderer's oracle: divmod out every digit and join them one by one."""
+    digits = []
+    while n:
+        n, d = divmod(n, g)
+        digits.append(str(d))
+    body = ("" if g <= 10 else ",").join(reversed(digits)) or "0"
+    return f"({body})_{g}"
+
+
+@st.composite
+def render_inputs(draw):
+    """A base on either side of 512 and values up to 10^60 at its digit and
+    chunk edges: 0, g^j - 1, g^j and (g^k)^j for the renderer's chunk size
+    g^k, plus random values, unsorted and with repeats."""
+    g = draw(st.one_of(st.integers(2, 30), st.integers(500, 525), st.integers(2, 600)))
+    size = g
+    while size * g <= 512:
+        size *= g
+    limit = 10**60
+
+    def powers(base):
+        e = 0
+        while base ** (e + 1) <= limit:
+            e += 1
+        return st.integers(0, e).map(lambda e: base**e)
+
+    edge = st.one_of(powers(g), powers(g).map(lambda p: p - 1), powers(size),
+                     powers(size).map(lambda p: p - 1))
+    ns = draw(st.lists(st.one_of(edge, st.integers(0, limit)), max_size=12))
+    ns += draw(st.lists(st.sampled_from(ns), max_size=4)) if ns else []
+    return draw(st.permutations(ns)), g
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(render_inputs())
+def test_render_many_equals_per_digit_join(case):
+    ns, g = case
+    assert render_many(ns, g) == [per_digit_render(n, g) for n in ns]
+
+
+def test_render_many_and_digit_vector_agree_at_chunk_boundaries():
+    for g in (2, 3, 7, 8, 10, 11, 22, 23, 511, 512, 513, 600):
+        size = len(_chunk_tables(g)[0]) if g <= 512 else g
+        ns = [0, 10**60]
+        for j in range(1, 5):
+            ns += [size**j - 1, size**j, size**j + 1, g**j - 1, g**j]
+        assert render_many(ns, g) == [per_digit_render(n, g) for n in ns]
+        assert [to_digits(n, g).render() for n in ns] == render_many(ns, g)
+
+
+def test_render_tables_stay_within_512_entries():
+    for g in range(2, 513):
+        padded, top = _chunk_tables(g)
+        assert len(padded) == len(top) <= 512 < len(padded) * g
+    _chunk_tables.cache_clear()
+    assert render_many([513**3 + 5, 0], 513) == ["(1,0,0,5)_513", "(0)_513"]
+    assert render_many([600 * 599], 600) == ["(599,0)_600"]
+    assert _chunk_tables.cache_info().currsize == 0  # no table above base 512
+
+
+def test_render_many_rejects_bad_input():
+    with pytest.raises(ValueError):
+        render_many([3, -1], 10)
+    with pytest.raises(ValueError):
+        render_many([3], 1)
+    assert render_many([], 5) == []
 
 
 def test_to_digits_rejects_bad_base():

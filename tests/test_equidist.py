@@ -508,12 +508,22 @@ def test_census_equals_oracle_when_mpmath_errs_by_its_whole_bound():
 
 
 def test_census_equals_oracle_where_theta_is_large():
-    # theta = ln 2^400 / ln 3 is about 252: there mpmath's fractional parts
-    # stray past power_sum_norm's own error bound, and tier 1 must still
-    # leave every n it might disagree on to mpmath
+    # theta = ln 2^400 / ln 3 is about 252: mpmath's fractional parts lose
+    # digits in proportion to theta, and tier 1 must still leave every n it
+    # might disagree on to mpmath
     system = _sys([3], 2, 2**400)
     eps = [0.2, 0.1, 0.05, 0.01]
     assert bad_n_census(system, eps, 2000, dps=7) == census_oracle(system, eps, 2000, dps=7)
+
+
+@pytest.mark.parametrize("L", [2**200, 2**400], ids=["2^200", "2^400"])
+def test_norm_err_bounds_low_precision_where_theta_is_large(L):
+    # theta = ln L / ln 3 is about 126 and 252; without the theta factor in
+    # _norm_err, 11 and 334 of these n stray past the dps-7 bound
+    system = _sys([3], 2, L)
+    for n in range(1, 2001):
+        low, high = power_sum_norm(system, n, dps=7), power_sum_norm(system, n, dps=60)
+        assert abs(low.value - high.value) <= low.err, n
 
 
 def test_scans_equal_oracles_across_chunk_boundaries():

@@ -49,6 +49,12 @@ CASES = {
                          "--checkpoint", "{out}/c.json", "--hits", "{out}/h.txt",
                          "--checkpoint-every", "7"],
     "census": ["census", "--limit", "2000"],
+    # digit renders recorded before the chunked renderer: comma-separated
+    # digits in a quoted CSV field, hits spanning three or more chunks
+    # (hit 0 kept), and one value in bases on both sides of 512
+    "search-wide": ["search", "--specs", "11:1/2,13:1", "--limit", "3000", "--all"],
+    "search-chunks": ["search", "--specs", "2:1,3:1/2", "--limit", "1000000"],
+    "digits-chunks": ["digits", str(10**40 + 123456789), "--bases", "2,3,16,512,513,600"],
 }
 
 # name -> (argv, slices): the argv runs `slices` times against one checkpoint.
@@ -119,6 +125,13 @@ GOLDEN = {
         "5788e23227aa98ccbcb53169d603b7cc66ff3b0104525a46974e297f1d89940d",
         "ea3cdc183a591af17e0f8aee5ecaf632dc74cd93eb486b65fbfaeddc8302371f",
     ),
+    "digits-chunks": (
+        0,
+        "0bd7ce38fb6ce500e081dd7df63d4826c360f701f79edcac5f06a8e4fa200a57",
+        "c1796989d27997a155ee1f9bc25ea8abd3216b645a45a2a50bf0b1cc465b7d58",
+        "34a71a209910f2c22ebec3d75d5dd2b6ad56c018379a7991259ff2784b15ce5d",
+        "2e71ae4c46194df8bd7c15c3c7106527bc32df9ccb3b8c59daa4bbf8123a6c49",
+    ),
     "egrs": (
         0,
         "8abbb3aa186d2d8882f11392230b6f4754117a7e3ec9f00f3846a02a4fc0b387",
@@ -175,12 +188,26 @@ GOLDEN = {
         "d8e4208096fde16832cb009ea248f003db4881c49d7112831b217407bbb99d9f",
         "d149b3b4ea32e634ba7e10cac072fb40ae6d926686187ef41a7bafa77d4d7a07",
     ),
+    "search-chunks": (
+        0,
+        "03ca47f9811a967e5704e7942f05c7c585536d803f3187f6aeb63c0d296857d1",
+        "4cb446c7c00e7c3568a6441aee77e85f5239338a168d1b07fce12a76913a3af7",
+        "3ebe70fa811b9613289b99f21a953e31b1651eec139b8019e2f8b84cb385ef8c",
+        "2354cd3fc501dfc78884d4d6e6c623d41ec8c9bd2be39316113361d72d9e2c26",
+    ),
     "search-resumable": (
         0,
         "75fcbd50be4254084831eb8f73fd6c82245d0163ad66edb1eb112e0decf57f0a",
         "3eefb900451692be739ab6fd8e1ce2c52a76f406d3d1627e8397608a5e374851",
         "14c533ebe07559bac963de48cf62b3740d8894b42d6ca3da26f9a19c524af711",
         "bdfbe4ca7e58b77a39b7ffe927311dd51c345cb68dbcd9eabcc3fb6d6e187133",
+    ),
+    "search-wide": (
+        0,
+        "d546d0573922405fb37a19eb94dd16ed34b7cfb5a1802c8c1aff033a434cf07c",
+        "87dee71efd7c4dd000182dbe015ff2f5156120143b06e35d9b12690ac2d20ff7",
+        "369fb41562d44eeb1f3576c8b90722944ada990628ff9370a4aad0da93764a08",
+        "061de8e7e9a2ff17ab0cf4204c54f66c79780e9c07d1d7e1cc2c68bda3e04563",
     ),
     "spectrum": (
         0,
@@ -222,6 +249,8 @@ ERROR_ORDER = [
       "--hits", "h.json", "--checkpoint-every", "0"], 2, 2),
     (["search", "--bases", "3,5", "--limit", "100", "--checkpoint", "c.json",
       "--hits", "h.json", "--max-candidates", "-1"], 2, 2),
+    (["search", "--bases", "3,5", "--limit", "100", "--max-candidates", "3"], 2, 2),
+    (["search", "--bases", "3,5", "--limit", "100", "--hits", "h.json"], 2, 2),
 ]
 
 
