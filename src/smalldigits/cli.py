@@ -58,6 +58,8 @@ EXIT_BUDGET = 3
 EXIT_INDETERMINATE = 4
 
 _JSON_HITS_CAP = 100_000
+_SEARCH_BUDGET = 10**7  # search --budget: digit-tree nodes of a one-shot search
+_CHECKPOINT_EVERY = 10_000  # search --checkpoint-every: driver candidates
 
 
 # --- argument parsing helpers -------------------------------------------------
@@ -520,10 +522,18 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.checkpoint_every < 1 or (args.max_candidates or 0) < 0:
+    # --budget and --checkpoint-every default to None so that a flag given
+    # to the wrong mode is an error, not silently ignored
+    every = _CHECKPOINT_EVERY if args.checkpoint_every is None else args.checkpoint_every
+    budget = _SEARCH_BUDGET if args.budget is None else args.budget
+    if every < 1 or (args.max_candidates or 0) < 0:
         raise argparse.ArgumentTypeError("need --checkpoint-every >= 1 and --max-candidates >= 0")
-    if not args.checkpoint and (args.hits or args.max_candidates is not None):
-        raise argparse.ArgumentTypeError("--hits and --max-candidates need --checkpoint")
+    if not args.checkpoint and (args.hits or args.max_candidates is not None
+                                or args.checkpoint_every is not None):
+        raise argparse.ArgumentTypeError(
+            "--hits, --max-candidates and --checkpoint-every need --checkpoint")
+    if args.checkpoint and args.budget is not None:
+        raise argparse.ArgumentTypeError("--budget is one-shot only; use --max-candidates with --checkpoint")
     specs = _resolve_specs(args)
     driver = None
     if args.driver_base is not None:
@@ -535,7 +545,7 @@ def _cmd_search(args) -> int:
     params = {
         "search": search.to_json_dict(),
         "drop_zero": args.drop_zero,
-        "budget": args.budget,
+        "budget": budget,
         "resumable": bool(args.checkpoint),
     }
 
@@ -546,10 +556,10 @@ def _cmd_search(args) -> int:
                 raise argparse.ArgumentTypeError("--checkpoint needs --hits")
             hits, finished = resumable_search(
                 search, args.checkpoint, args.hits,
-                max_candidates=args.max_candidates, checkpoint_every=args.checkpoint_every,
+                max_candidates=args.max_candidates, checkpoint_every=every,
             )
         else:
-            hits = multi_base_search(search, budget=args.budget)
+            hits = multi_base_search(search, budget=budget)
         if args.drop_zero:
             hits = [n for n in hits if n != 0]
         names = [str(n) for n in hits]
@@ -712,13 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driver-base", type=int, help="which base's small digits drive the search")
     p.add_argument("--drop-zero", action="store_true", help="omit the trivial hit 0")
     p.add_argument("--all", action="store_true", help="print every hit")
-    p.add_argument("--budget", type=int, default=10**7,
-                   help="one-shot only: maximum number of digit-tree nodes visited")
+    p.add_argument("--budget", type=int,
+                   help=f"one-shot only: maximum number of digit-tree nodes visited "
+                        f"(default {_SEARCH_BUDGET})")
     p.add_argument("--checkpoint", metavar="PATH", help="resumable: checkpoint file")
     p.add_argument("--hits", metavar="PATH", help="resumable: hits file")
     p.add_argument("--max-candidates", type=int, help="resumable: driver candidates per call")
-    p.add_argument("--checkpoint-every", type=int, default=10_000,
-                   help="resumable: checkpoint after each this many driver candidates")
+    p.add_argument("--checkpoint-every", type=int,
+                   help=f"resumable: checkpoint after each this many driver candidates "
+                        f"(default {_CHECKPOINT_EVERY})")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("census", parents=[common], help="central binomial coprimality census")

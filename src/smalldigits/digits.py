@@ -48,9 +48,11 @@ class BaseSpec:
         if not (0 < self.kappa <= 1):
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
 
-    @property
+    @functools.cached_property
     def max_small_digit(self) -> int:
-        """Largest digit still counted small: ceil(kappa*g) - 1."""
+        """Largest digit still counted small: ceil(kappa*g) - 1. Computed
+        once per spec; the cache lives in the instance __dict__, outside the
+        fields, so ==, hash and repr do not see it."""
         return math.ceil(self.kappa * self.g) - 1
 
     @property

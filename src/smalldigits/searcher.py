@@ -1,5 +1,6 @@
 """Enumeration of integers whose digits are simultaneously small in several
-bases, with checkpoint/resume support and density reporting.
+bases, with checkpoint/resume support, density reporting and the Graham
+census.
 
 The single-base stream never filters: the m-th integer with all base-g
 digits below the threshold is m written in base a = ceil(kappa*g) and
@@ -10,6 +11,13 @@ prunes a subtree as soon as a digit that all of its integers share in
 another base is large; its cost follows the number of hits rather than the
 number of driver candidates. The one-shot and the checkpointed search are
 the same walk; a pruned subtree advances the checkpoint's cursor past it.
+It tests the shared digits inline against each base's largest small
+digit (computed once per BaseSpec) and stops at the first large one.
+
+The Graham census (every n <= limit with C(2n, n) coprime to some primes)
+takes the other route, Kummer's theorem: a numpy sieve that drops n at its
+first base-p digit d with 2d >= p. It never calls the walk, so the two
+check each other.
 """
 
 from __future__ import annotations
@@ -21,7 +29,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .digits import BaseSpec, large_digit_count, to_digits
+import numpy as np
+
+from .digits import BaseSpec, to_digits
+from .digits import large_digit_count  # unused here; bench/tracer.py wraps it
 from .errors import BudgetExceededError
 from .kummer import GrahamSplit, _require_prime, graham_split
 from .kummer import central_binom_valuation  # unused here; bench/tracer.py wraps it
@@ -121,8 +132,10 @@ def _walk(search: SearchSpec, start: int = 0, stop: Optional[int] = None,
     the candidate count. budget caps the nodes tested; exceeding it raises.
     """
     driver = search.specs[search.resolved_driver()]
-    # a base with kappa = 1 has no large digit and can never prune
-    others = [s for s in search.specs if s.g != driver.g and s.alphabet_size < s.g]
+    # (base, largest small digit); a base with kappa = 1 has no large digit
+    # and can never prune
+    others = [(s.g, s.max_small_digit) for s in search.specs
+              if s.g != driver.g and s.alphabet_size < s.g]
     g, top, a = driver.g, driver.max_small_digit, driver.alphabet_size
     last = search.limit - 1
     digits = to_digits(last, g).digits
@@ -146,13 +159,16 @@ def _walk(search: SearchSpec, start: int = 0, stop: Optional[int] = None,
             raise BudgetExceededError(f"search budget {budget} exhausted")
         visited += 1
         hi = min(lo + spans[k], last)
-        for s in others:
-            h = s.g
+        for h, small in others:
             x, y = lo, hi
             while x != y:
                 x //= h
                 y //= h
-            if x and large_digit_count(x, s):
+            # peel the shared digits up to the first large one; x stays
+            # nonzero exactly when one was found, the most significant too
+            while x and x % h <= small:
+                x //= h
+            if x:
                 cursor = min(end, stop)
                 yield cursor, None
                 break
@@ -313,30 +329,49 @@ def density_vs_heuristic(
     return DensityReport(tuple(specs), thresholds, tuple(counts), slope, heuristic)
 
 
-def _no_carry(n: int, p: int) -> bool:
-    """True iff adding n to itself in base p carries nowhere, i.e. p does not
-    divide C(2n, n) (Kummer). The first carry comes at the lowest digit
-    d with 2d >= p, so the scan stops there."""
-    while n:
-        n, d = divmod(n, p)
-        if 2 * d >= p:
-            return False
-    return True
+# n per numpy block of the census: 64 KB int64 arrays. Larger blocks gain no
+# time and raise the peak RSS.
+_CENSUS_BLOCK = 1 << 13
+
+
+def _census_survivors(lo: int, hi: int, primes: Sequence[int]) -> list[int]:
+    """The n in [lo, hi) whose base-p digits are all below p/2 for every p
+    (Kummer: adding n to itself carries nowhere, so p does not divide
+    C(2n, n)), ascending. Each prime peels the digits of the survivors of
+    the previous ones only, one divmod per digit position, and drops an n
+    at its first digit d with 2d >= p. hi - 1 must fit in int64."""
+    n = np.arange(lo, hi, dtype=np.int64)
+    for p in primes:
+        half = (p - 1) // 2  # the largest digit d with 2d < p
+        if p >= hi:  # each n is one base-p digit (p may not fit in int64)
+            n = n[n <= min(half, hi - 1)]
+            continue
+        q, top = n, hi - 1  # the high parts still to peel, and the largest
+        while top:
+            q, d = np.divmod(q, p)
+            small = d <= half
+            n, q = n[small], q[small]
+            top //= p
+    return n.tolist()
 
 
 def graham_census(limit: int, primes: Sequence[int] = (3, 5, 7), budget: int = 10**6) -> list[GrahamSplit]:
     """Every n in [1, limit] whose central binomial coefficient is coprime to
-    all the given primes. This is the valuation route: per n and prime, the
-    carries of n + n in base p, stopped at the first one (_no_carry); each
-    hit is then split with graham_split. It never uses the digit-tree
-    search, so the two cross-check each other. Every prime is checked once,
-    up front: a composite raises ValueError even when no n would reach it."""
+    all the given primes, ascending. This is a numpy digit sieve over blocks
+    of _CENSUS_BLOCK n (_census_survivors); each hit is then split with
+    graham_split. It never uses the digit-tree search, so the two
+    cross-check each other. Every prime is checked once, up front: a
+    composite raises ValueError even when no n would reach it. A limit
+    beyond int64 raises ValueError (the budget normally stops it first)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > budget:
         raise BudgetExceededError(f"census limit {limit} exceeds budget {budget}")
+    if limit > np.iinfo(np.int64).max:
+        raise ValueError(f"census limit {limit} does not fit in int64")
     primes = tuple(primes)
     for p in primes:
         _require_prime(p)
-    return [graham_split(n, primes) for n in range(1, limit + 1)
-            if all(_no_carry(n, p) for p in primes)]
+    return [graham_split(n, primes)
+            for lo in range(1, limit + 1, _CENSUS_BLOCK)
+            for n in _census_survivors(lo, min(lo + _CENSUS_BLOCK, limit + 1), primes)]

@@ -273,3 +273,24 @@ def test_back_to_back_calls_match_fresh_processes(capsys):
                               capture_output=True, text=True, env=env, check=False)
         fresh.append((proc.returncode, proc.stdout))
     assert in_process == fresh
+
+
+def test_search_records_the_default_budget(capsys):
+    # --budget defaults to None so that it can be refused with --checkpoint;
+    # the manifest still records the node budget the search runs under
+    argv = ["search", "--bases", "3,5", "--limit", "3000", "--dry-run"]
+    implicit = run_cli(argv, capsys)
+    explicit = run_cli([*argv, "--budget", str(10**7)], capsys)
+    assert implicit == explicit and implicit[0] == 0
+    assert json.loads(implicit[1])["params"]["budget"] == 10**7
+
+
+def test_search_flags_of_the_other_mode_are_usage_errors(capsys, tmp_path):
+    ckpt, hits = str(tmp_path / "c.json"), str(tmp_path / "h.txt")
+    for argv in (["--checkpoint-every", "5"],
+                 ["--checkpoint", ckpt, "--hits", hits, "--budget", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--bases", "3,5", "--limit", "100", *argv])
+        assert exc.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+    assert not os.path.exists(ckpt) and not os.path.exists(hits)

@@ -5,6 +5,8 @@ for bases 2/8/16 and int(text, g) for the inverse. Everything else is
 checked against brute-force digit filters.
 """
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -184,6 +186,29 @@ def test_base_spec_alphabet_boundaries():
     assert s5.is_small(2) and s5.is_large(3)
     s3 = BaseSpec(3, Fraction(2, 3))
     assert s3.alphabet_size == 2  # digits {0,1}: 2 < 2 fails
+
+
+def test_max_small_digit_is_ceil_kappa_g_minus_one():
+    for g in range(2, 65):
+        for kappa in {Fraction(j, g) for j in range(1, g + 1)} | {Fraction(j, 64) for j in range(1, 65)}:
+            spec = BaseSpec(g, kappa)
+            assert spec.max_small_digit == math.ceil(kappa * g) - 1
+            assert spec.alphabet_size == spec.max_small_digit + 1
+
+
+def test_cached_max_small_digit_leaves_eq_hash_repr_alone():
+    a, b = BaseSpec(7, Fraction(3, 7)), BaseSpec(7, "3/7")
+    before = (repr(a), hash(a))
+    assert "max_small_digit" not in vars(a)
+    assert a.max_small_digit == 2
+    assert vars(a)["max_small_digit"] == 2  # computed once, then read back
+    assert (repr(a), hash(a)) == before == (repr(b), hash(b))
+    assert a == b and b == a and {a: 1}[b] == 1
+    assert a != BaseSpec(7, Fraction(4, 7))
+    assert [f.name for f in dataclasses.fields(a)] == ["g", "kappa"]
+    assert a.to_json_dict() == b.to_json_dict() == {"g": 7, "kappa": "3/7"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.g = 5
 
 
 def test_base_spec_rejects_float_kappa():

@@ -251,6 +251,9 @@ ERROR_ORDER = [
       "--hits", "h.json", "--max-candidates", "-1"], 2, 2),
     (["search", "--bases", "3,5", "--limit", "100", "--max-candidates", "3"], 2, 2),
     (["search", "--bases", "3,5", "--limit", "100", "--hits", "h.json"], 2, 2),
+    (["search", "--bases", "3,5", "--limit", "100", "--checkpoint-every", "5"], 2, 2),
+    (["search", "--specs", "3:1/2,5:1/2", "--limit", str(10**12), "--checkpoint", "c.json",
+      "--hits", "h.json", "--budget", "100"], 2, 2),
 ]
 
 

@@ -36,7 +36,7 @@ from smalldigits import (
     resumable_search,
     to_digits,
 )
-from smalldigits import kummer, searcher
+from smalldigits import digits, kummer, searcher
 
 HALF = Fraction(1, 2)
 
@@ -285,7 +285,38 @@ def test_resumable_search_never_checks_a_kappa_one_base(tmp_path, monkeypatch):
     hits, finished = resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt")
     assert finished
     assert hits == multi_base_search(search) == odometer_hits(search)
-    assert 3 not in checked
+    assert checked == []  # the walk tests digits inline, and no base here can prune
+
+
+def test_walk_makes_no_large_digit_count_call(tmp_path, monkeypatch):
+    def forbidden(n, spec):
+        raise AssertionError("the walk called large_digit_count")
+
+    monkeypatch.setattr(searcher, "large_digit_count", forbidden)
+    monkeypatch.setattr(digits, "large_digit_count", forbidden)
+    specs = (BaseSpec(3, HALF), BaseSpec(5, Fraction(2, 5)), BaseSpec(7, HALF))
+    search = SearchSpec(specs, 10**12)
+    hits = multi_base_search(search)
+    assert resumable_search(search, tmp_path / "c.json", tmp_path / "h.txt",
+                            checkpoint_every=1000) == (hits, True)
+    monkeypatch.undo()
+    assert all(large_digit_count(n, s) == 0 for n in hits for s in specs)
+
+
+def test_walk_prunes_when_only_the_top_shared_digit_is_large():
+    # Driver base 2 with kappa = 1, so the odometer index of n is n. The
+    # node [600, 607] shares the decimal digits 60: the 0 is small and only
+    # the most significant one, 6, is large (kappa = 1/2 in base 10), so the
+    # walk must skip the node in one step instead of visiting its leaves.
+    search = SearchSpec((BaseSpec(2, Fraction(1)), BaseSpec(10, HALF)), 608, driver=0)
+    steps = list(searcher._walk(search))
+    ends = [end for end, _ in steps]
+    assert steps[ends.index(600) + 1:] == [(608, None)]
+    # above 512 the walk visits the aligned spans [512, 575], [576, 591],
+    # [592, 599] and [600, 607], whose shared decimal parts 5, 5, 59 and 60
+    # each hold a large digit: no leaf is reached
+    assert [end for end, n in steps if end > 512] == [576, 592, 600, 608]
+    assert multi_base_search(search) == brute_force_hits(search.specs, 608)
 
 
 def test_resumable_search_drops_lines_written_after_the_checkpoint(tmp_path):
@@ -451,6 +482,65 @@ def test_resumable_search_rejects_bad_slice_inputs(tmp_path):
 # --- census and duality -----------------------------------------------------------
 
 
+def no_carry(n, p):
+    """The scalar census test the sieve replaced: True iff adding n to itself
+    in base p carries nowhere, i.e. p does not divide C(2n, n) (Kummer). The
+    first carry comes at the lowest digit d with 2d >= p."""
+    while n:
+        n, d = divmod(n, p)
+        if 2 * d >= p:
+            return False
+    return True
+
+
+def scalar_census(lo, hi, primes):
+    return [n for n in range(lo, hi) if all(no_carry(n, p) for p in primes)]
+
+
+CENSUS_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@st.composite
+def census_cases(draw):
+    primes = tuple(draw(st.lists(st.sampled_from(CENSUS_PRIMES), min_size=1, max_size=4, unique=True)))
+    block = draw(st.sampled_from([1, 2, 7, 64, searcher._CENSUS_BLOCK]))
+    edge = st.builds(lambda k, e: max(1, k * block + e), st.integers(1, 4), st.integers(-1, 1))
+    limit = draw(st.one_of(edge, st.integers(1, min(3 * 10**5, 500 * block))))
+    return primes, block, limit
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(census_cases())
+def test_census_sieve_equals_scalar_oracle(case):
+    primes, block, limit = case
+    with mock.patch.object(searcher, "_CENSUS_BLOCK", block):
+        hits = graham_census(limit, primes, budget=limit)
+    assert [s.n for s in hits] == scalar_census(1, limit + 1, primes)
+
+
+def test_census_sieve_at_every_block_edge():
+    for primes in ((3, 5, 7), (5,), (2, 3), (11, 13), (17, 3)):
+        for block in (1, 2, 7):
+            with mock.patch.object(searcher, "_CENSUS_BLOCK", block):
+                for limit in range(1, 6 * block + 2):
+                    assert [s.n for s in graham_census(limit, primes)] == scalar_census(1, limit + 1, primes)
+
+
+def test_census_rejects_a_limit_beyond_int64():
+    with pytest.raises(ValueError, match="int64"):
+        graham_census(2**63, budget=2**64)
+    with pytest.raises(BudgetExceededError):
+        graham_census(2**63)  # the default budget stops it first
+    # the top of the int64 range sieves exactly, with a prime inside int64
+    # (two base-p digits) and one beyond it (one digit, never divided)
+    top = 2**63 - 1
+    primes = (2**61 - 1, 2**89 - 1)
+    survivors = searcher._census_survivors(top - 200, top + 1, primes)
+    assert survivors == scalar_census(top - 200, top + 1, primes) and survivors
+    small_p = searcher._census_survivors(1, 100, (101,))
+    assert small_p == scalar_census(1, 100, (101,)) == list(range(1, 51))
+
+
 def test_graham_census_frozen_thousand():
     # Frozen against a direct math.comb scan: every 1 <= n <= 1000 with
     # C(2n,n) coprime to 105. 757 rides along with 756 because the +1 only
@@ -468,7 +558,7 @@ def test_census_duality_with_search():
     # coprimality of C(2n,n) to 3*5*7 is exactly the half-threshold digit
     # condition in bases 3, 5, 7 (carry counting), so the two independent
     # code paths must agree hit for hit.
-    limit = 10**5
+    limit = 10**6
     census_hits = [s.n for s in graham_census(limit)]
     specs = tuple(BaseSpec(p, HALF) for p in (3, 5, 7))
     search_hits = [n for n in multi_base_search(SearchSpec(specs, limit + 1)) if n >= 1]
