@@ -5,7 +5,8 @@ carry-free binomial arithmetic (`kummer`), threshold conditions
 (`criteria`), exhaustive searches (`searcher`), explicit constructions
 (`constructors`), digit-set exponential sums (`harmonic`), and
 equidistribution experiments (`equidist`). The `smalldigits` console
-script exposes each layer as a subcommand.
+script exposes each layer as a subcommand. The names imported below are
+the package's public API.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +19,6 @@ from .constructors import (
     block_construct,
     block_find_shift,
     egrs_construct,
-    egrs_repair_step,
     stability_check,
 )
 from .criteria import (
@@ -33,7 +33,6 @@ from .criteria import (
 from .digits import (
     BaseSpec,
     DigitVector,
-    digit_window,
     from_digits,
     large_digit_count,
     multi_base_profile,
@@ -47,9 +46,8 @@ from .equidist import (
     frac_exponents,
     lattice_min_combination,
     power_sum_norm,
-    power_sum_separation_check,
 )
-from .errors import BudgetExceededError, DeadEndError
+from .errors import BudgetExceededError
 from .harmonic import (
     BumpParams,
     BumpReport,
@@ -57,7 +55,6 @@ from .harmonic import (
     SpectrumQuery,
     bump_fourier_coeff,
     bump_property_report,
-    centered_digits,
     exp_sum_direct,
     exp_sum_product,
     gamma_vectors,
@@ -74,63 +71,3 @@ from .searcher import (
     multi_base_search,
     resumable_search,
 )
-
-__all__ = [
-    "__version__",
-    "BaseSpec",
-    "DigitVector",
-    "to_digits",
-    "from_digits",
-    "large_digit_count",
-    "digit_window",
-    "multi_base_profile",
-    "render_digit_grid",
-    "is_prime",
-    "central_binom_valuation",
-    "GrahamSplit",
-    "graham_split",
-    "ConditionReport",
-    "conjecture_sum",
-    "theorem_sum",
-    "prop_sum",
-    "egrs_condition",
-    "EqualBaseThreshold",
-    "equal_base_threshold",
-    "SearchSpec",
-    "enumerate_small",
-    "multi_base_search",
-    "resumable_search",
-    "DensityReport",
-    "density_vs_heuristic",
-    "graham_census",
-    "RepairMove",
-    "egrs_repair_step",
-    "EgrsTrace",
-    "egrs_construct",
-    "BlockConfig",
-    "BlockTrace",
-    "block_find_shift",
-    "block_construct",
-    "stability_check",
-    "SmallDigitFamily",
-    "exp_sum_product",
-    "exp_sum_direct",
-    "centered_digits",
-    "SpectrumQuery",
-    "large_spectrum_enumerate",
-    "spectrum_bound",
-    "gamma_vectors",
-    "BumpParams",
-    "BumpReport",
-    "bump_fourier_coeff",
-    "bump_property_report",
-    "ExponentSystem",
-    "frac_exponents",
-    "power_sum_norm",
-    "bad_n_census",
-    "discrepancy_estimate",
-    "power_sum_separation_check",
-    "lattice_min_combination",
-    "BudgetExceededError",
-    "DeadEndError",
-]

@@ -41,7 +41,7 @@ from .equidist import (
     lattice_min_combination,
     power_sum_norm,
 )
-from .errors import BudgetExceededError, DeadEndError
+from .errors import BudgetExceededError
 from .harmonic import (
     BumpParams,
     SmallDigitFamily,
@@ -494,6 +494,8 @@ def _cmd_conditions(args) -> int:
         return _run(args, params, body)
 
     specs = _resolve_specs(args)
+    if mode == "egrs" and len(specs) != 2:
+        raise argparse.ArgumentTypeError("egrs condition needs exactly two specs")
     r = args.r if args.r is not None else len(specs)
     params = {"condition": mode, "specs": [s.to_json_dict() for s in specs], "r": r}
 
@@ -505,8 +507,6 @@ def _cmd_conditions(args) -> int:
         elif mode == "prop":
             report = prop_sum(specs, r)
         else:  # egrs
-            if len(specs) != 2:
-                raise argparse.ArgumentTypeError("egrs condition needs exactly two specs")
             report = egrs_condition(specs[0], specs[1])
         print(f"value = {report.value_str}")
         print(f"threshold: {report.comparison} {report.threshold}")
@@ -532,6 +532,8 @@ def _cmd_search(args) -> int:
                                 or args.checkpoint_every is not None):
         raise argparse.ArgumentTypeError(
             "--hits, --max-candidates and --checkpoint-every need --checkpoint")
+    if args.checkpoint and not args.hits:
+        raise argparse.ArgumentTypeError("--checkpoint needs --hits")
     if args.checkpoint and args.budget is not None:
         raise argparse.ArgumentTypeError("--budget is one-shot only; use --max-candidates with --checkpoint")
     specs = _resolve_specs(args)
@@ -552,8 +554,6 @@ def _cmd_search(args) -> int:
     def body():
         finished = True
         if args.checkpoint:
-            if not args.hits:
-                raise argparse.ArgumentTypeError("--checkpoint needs --hits")
             hits, finished = resumable_search(
                 search, args.checkpoint, args.hits,
                 max_candidates=args.max_candidates, checkpoint_every=every,
@@ -754,7 +754,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))  # exits with code 2
         return 2
-    except (ValueError, RuntimeError, DeadEndError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .digits import BaseSpec, _exact_fraction, large_digit_count, to_digits, window_positions
-from .errors import BudgetExceededError, DeadEndError
+from .errors import BudgetExceededError
 
 # --- greedy two-base digit repair -------------------------------------------
 
@@ -74,34 +74,6 @@ class RepairMove:
             "offender_position": self.offender_position,
             "value": str(self.value),
         }
-
-
-def egrs_repair_step(
-    current: int,
-    g1: int,
-    g2: int,
-    kappa2,
-    order: str = "lowest",
-    max_exponent: Optional[int] = None,
-    max_multiplicity: int = 1,
-) -> Optional[RepairMove]:
-    """One greedy repair move on the base-g2 expansion of current.
-
-    Returns None when every base-g2 digit is already small. Raises
-    DeadEndError when an offender exists but no admissible corrective power
-    of g1 below max_exponent can clear it.
-    """
-    if current < 1:
-        raise ValueError("current must be >= 1")
-    spec2 = BaseSpec(g2, _exact_fraction(kappa2))
-    offender = _msb_offender(current, spec2)
-    if offender is None:
-        return None
-    for e, times, cand in _iter_moves(current, g1, spec2, offender, max_exponent, order, max_multiplicity):
-        return RepairMove(e, times, offender, cand)
-    raise DeadEndError(
-        f"no admissible power of {g1} below exponent {max_exponent} clears position {offender}"
-    )
 
 
 @dataclass(frozen=True)

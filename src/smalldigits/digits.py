@@ -60,14 +60,8 @@ class BaseSpec:
         """Number of small digit values."""
         return self.max_small_digit + 1
 
-    def is_small(self, d: int) -> bool:
-        return d <= self.max_small_digit
-
     def is_large(self, d: int) -> bool:
         return d > self.max_small_digit
-
-    def label(self) -> str:
-        return f"{self.g}:{self.kappa}"
 
     def to_json_dict(self) -> dict:
         return {"g": self.g, "kappa": str(self.kappa)}
@@ -196,28 +190,6 @@ def large_digit_count(n: int, spec: BaseSpec) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class DigitWindowReport:
-    """Digit statistics of one integer restricted to positions k with
-    lo <= g^k <= hi."""
-
-    spec: BaseSpec
-    lo: int
-    hi: int
-    positions: tuple[int, ...]
-    large_positions: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": self.spec.g,
-            "kappa": str(self.spec.kappa),
-            "lo": self.lo,
-            "hi": self.hi,
-            "positions": list(self.positions),
-            "large_positions": list(self.large_positions),
-        }
-
-
 def window_positions(g: int, lo: int, hi: int) -> range:
     """The exponents k with lo <= g^k <= hi, ascending; empty when none."""
     k, place = 0, 1
@@ -229,29 +201,6 @@ def window_positions(g: int, lo: int, hi: int) -> range:
         place *= g
         k += 1
     return range(first, k)
-
-
-def digit_window(n: int, spec: BaseSpec, lo: int, hi: int) -> DigitWindowReport:
-    """Report which positions fall in the window [lo, hi] (measured by the
-    place value g^k) and which of those carry a large digit.
-
-    positions is the exact set {k : lo <= g^k <= hi}; a position beyond the
-    expansion of n holds digit 0 and is therefore never large.
-    """
-    if lo < 1 or lo > hi:
-        raise ValueError(f"window requires 1 <= lo <= hi, got [{lo}, {hi}]")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    g = spec.g
-    positions = window_positions(g, lo, hi)
-    bound = spec.max_small_digit
-    rest = n // g**positions.start
-    large = []
-    for k in positions:
-        rest, d = divmod(rest, g)
-        if d > bound:
-            large.append(k)
-    return DigitWindowReport(spec, lo, hi, tuple(positions), tuple(large))
 
 
 def multi_base_profile(n: int, specs: Sequence[BaseSpec]) -> tuple[tuple[int, int], ...]:

@@ -5,8 +5,8 @@ fractional multiples {n * theta_j} drive the power sums whose distance to
 the nearest integer controls how often the block construction can fail, so
 this module provides: exact-ish fractional-part streams (256-bit fixed
 point), a multiprecision power-sum norm with a formal error bound, bad-n
-censuses over an epsilon grid, a box-counting discrepancy estimate, the
-separated-power-sum lower-bound probe, and the lattice minimum experiment.
+censuses over an epsilon grid, a box-counting discrepancy estimate, and the
+lattice minimum experiment.
 
 The census and the discrepancy scan every n <= N in two tiers, and both
 return exactly what the slow tier alone would:
@@ -31,7 +31,6 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -417,49 +416,6 @@ def discrepancy_estimate(
         vol = np.multiply.outer(vol, a)
     worst = float(np.max(np.abs(cum / N - vol)))
     return worst + d / grid
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    max_abs: float
-    delta: float
-    ratio: float
-
-    def to_json_dict(self) -> dict:
-        return {"max_abs": self.max_abs, "delta": self.delta, "ratio": self.ratio}
-
-
-def power_sum_separation_check(
-    xs: Sequence[float], cs: Sequence[float], points: Sequence[float]
-) -> SeparationReport:
-    """Evaluate f(t) = sum c_i x_i^t at 2^(r-1) separated points and report
-    max|f| against delta^(r-1) * max|c| (the empirical implied constant)."""
-    xs = [float(x) for x in xs]
-    cs = [float(c) for c in cs]
-    if len(xs) != len(cs):
-        raise ValueError("xs and cs must have equal length")
-    r = len(xs)
-    if r < 1:
-        raise ValueError("need at least one term")
-    if len(set(xs)) != r:
-        raise ValueError("xs must be distinct")
-    if any(x <= 0 for x in xs):
-        raise ValueError("xs must be positive")
-    pts = [float(v) for v in points]
-    if len(pts) != 2 ** (r - 1):
-        raise ValueError(f"need exactly {2 ** (r - 1)} points, got {len(pts)}")
-    if any(not 0 < v < 1 for v in pts):
-        raise ValueError("points must lie in (0, 1)")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("points must be strictly increasing")
-    cmax = max(abs(c) for c in cs)
-    if cmax == 0:
-        raise ValueError("coefficients are all zero")
-
-    max_abs = max(abs(sum(c * x**t for c, x in zip(cs, xs))) for t in pts)
-    delta = min((b - a for a, b in zip(pts, pts[1:])), default=1.0)
-    ratio = max_abs / (delta ** (r - 1) * cmax)
-    return SeparationReport(max_abs, delta, ratio)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,3 @@
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or scan would exceed its configured work budget."""
-
-
-class DeadEndError(RuntimeError):
-    """A greedy repair step has no admissible move left."""

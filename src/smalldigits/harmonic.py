@@ -21,13 +21,12 @@ comparison would reject are skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .digits import BaseSpec
 from .errors import BudgetExceededError
 
 _DIRECT_CAP = 10**6
@@ -56,10 +55,6 @@ class SmallDigitFamily:
     @property
     def size(self) -> int:
         return self.t**self.R
-
-    @classmethod
-    def from_base_spec(cls, spec: BaseSpec, R: int) -> "SmallDigitFamily":
-        return cls(spec.g, spec.alphabet_size, R)
 
     def to_json_dict(self) -> dict:
         return {"g": self.g, "t": self.t, "R": self.R}
@@ -118,21 +113,6 @@ def exp_sum_direct(family: SmallDigitFamily, k: int) -> complex:
         angle = 2.0 * math.pi * m / N
         total += complex(math.cos(angle), math.sin(angle))
     return total
-
-
-def centered_digits(value: int, g: int, length: int) -> tuple[int, ...]:
-    """Base-g digits of value mod g^length, each recentred into (-g/2, g/2]."""
-    if g < 2 or length < 0:
-        raise ValueError("need g >= 2 and length >= 0")
-    r = value % g**length
-    out = []
-    for _ in range(length):
-        d = r % g
-        if 2 * d > g:
-            d -= g
-        r = (r - d) // g
-        out.append(d)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

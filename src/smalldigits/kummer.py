@@ -28,7 +28,7 @@ def is_prime(p: int) -> bool:
     (no pseudoprime below 3.3e24 is known to pass it)."""
     if p < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if p % small == 0:
             return p == small
     d, s = p - 1, 0

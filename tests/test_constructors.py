@@ -18,16 +18,28 @@ from smalldigits import (
     BaseSpec,
     BlockConfig,
     BudgetExceededError,
+    RepairMove,
     block_construct,
     block_find_shift,
     egrs_construct,
-    egrs_repair_step,
     stability_check,
     to_digits,
 )
-from smalldigits.constructors import _msb_offender
+from smalldigits.constructors import _iter_moves, _msb_offender
 
 HALF = Fraction(1, 2)
+
+
+def _egrs_repair_step(current, g1, g2, kappa2):
+    """Oracle for one greedy repair move: clear the most significant large
+    base-g2 digit with the lowest admissible power of g1, or None when every
+    base-g2 digit is already small."""
+    spec2 = BaseSpec(g2, kappa2)
+    offender = _msb_offender(current, spec2)
+    if offender is None:
+        return None
+    e, times, value = next(_iter_moves(current, g1, spec2, offender, None, "lowest", 1))
+    return RepairMove(e, times, offender, value)
 
 
 # --- greedy repair ---------------------------------------------------------------
@@ -73,8 +85,8 @@ def test_egrs_other_pairs_produce_valid_witnesses():
         trace = egrs_construct(g1, g2, HALF, HALF, start)
         if trace.final is None:
             continue  # a failure trace is legal; validity is what we check
-        assert all(spec1.is_small(d) for d in to_digits(trace.final, g1).digits)
-        assert all(spec2.is_small(d) for d in to_digits(trace.final, g2).digits)
+        assert not any(spec1.is_large(d) for d in to_digits(trace.final, g1).digits)
+        assert not any(spec2.is_large(d) for d in to_digits(trace.final, g2).digits)
 
 
 def test_egrs_highest_policy_also_terminates():
@@ -85,7 +97,7 @@ def test_egrs_highest_policy_also_terminates():
 
 
 def test_egrs_repair_step_clears_top_offender():
-    move = egrs_repair_step(531441, 3, 5, HALF)
+    move = _egrs_repair_step(531441, 3, 5, HALF)
     assert move is not None
     assert move.exponent == 9 and move.offender_position == 6
     assert move.value == 551124
@@ -93,7 +105,7 @@ def test_egrs_repair_step_clears_top_offender():
 
 def test_egrs_steps_are_repair_moves():
     trace = egrs_construct(3, 5, HALF, HALF, 12)
-    assert trace.steps[0] == egrs_repair_step(3**12, 3, 5, HALF)
+    assert trace.steps[0] == _egrs_repair_step(3**12, 3, 5, HALF)
     assert trace.to_json_dict()["steps"][0] == trace.steps[0].to_json_dict()
 
 
@@ -105,7 +117,7 @@ def test_msb_offender_matches_digit_expansion():
 
 
 def test_egrs_repair_step_none_when_clean():
-    assert egrs_repair_step(551406, 3, 5, HALF) is None
+    assert _egrs_repair_step(551406, 3, 5, HALF) is None
 
 
 def test_egrs_budget_exhaustion():
@@ -159,7 +171,7 @@ def _window_clean_oracle(value, spec, window):
     dv = to_digits(value, spec.g)
     ok = True
     while place <= hi:
-        if place >= lo and not spec.is_small(dv.digit_at(k)):
+        if place >= lo and spec.is_large(dv.digit_at(k)):
             ok = False
         place *= spec.g
         k += 1

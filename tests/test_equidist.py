@@ -33,7 +33,6 @@ from smalldigits import (
     frac_exponents,
     lattice_min_combination,
     power_sum_norm,
-    power_sum_separation_check,
 )
 from smalldigits import equidist
 from smalldigits.equidist import (
@@ -333,56 +332,6 @@ def test_weyl_boxes_fill_uniformly():
     y = (n * (math.log(2) / math.log(5))) % 1.0
     counts, _, _ = np.histogram2d(x, y, bins=4, range=[[0, 1], [0, 1]])
     assert np.all(np.abs(counts / N - 1 / 16) <= 3e-3)
-
-
-# --- separation ratio --------------------------------------------------------------
-
-
-def test_separation_single_term():
-    report = power_sum_separation_check([2.0], [3.0], [0.5])
-    assert report.max_abs == pytest.approx(3.0 * 2.0**0.5)
-    assert report.delta == 1.0
-    assert report.ratio == pytest.approx(report.max_abs / 3.0)
-
-
-def test_separation_seeded_instances_stay_finite():
-    rng = random.Random(20260819)
-    for _ in range(1000):
-        r = rng.randrange(1, 5)
-        xs = []
-        while len(xs) < r:
-            x = rng.uniform(0.1, 10.0)
-            if all(abs(x - y) > 1e-6 for y in xs):
-                xs.append(x)
-        cs = [rng.uniform(0.1, 5.0) * rng.choice([-1, 1]) for _ in range(r)]
-        pts = sorted(rng.uniform(0.01, 0.99) for _ in range(2 ** (r - 1)))
-        while any(b - a < 1e-9 for a, b in zip(pts, pts[1:])):
-            pts = sorted(rng.uniform(0.01, 0.99) for _ in range(2 ** (r - 1)))
-        report = power_sum_separation_check(xs, cs, pts)
-        assert report.ratio >= 0
-        crude = sum(abs(c) * max(x, 1.0) for c, x in zip(cs, xs))
-        assert report.max_abs <= crude + 1e-9
-
-
-def test_separation_ratio_invariant_under_coefficient_scaling():
-    xs, cs, pts = [1.5, 4.0], [2.0, -1.0], [0.2, 0.7]
-    base = power_sum_separation_check(xs, cs, pts)
-    scaled = power_sum_separation_check(xs, [17.5 * c for c in cs], pts)
-    assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
-    assert scaled.max_abs == pytest.approx(17.5 * base.max_abs, rel=1e-12)
-
-
-def test_separation_validation():
-    with pytest.raises(ValueError):
-        power_sum_separation_check([2.0, 2.0], [1.0, 1.0], [0.3, 0.6])
-    with pytest.raises(ValueError):
-        power_sum_separation_check([2.0, 3.0], [1.0, 1.0], [0.3])  # needs 2 points
-    with pytest.raises(ValueError):
-        power_sum_separation_check([2.0, 3.0], [1.0, 1.0], [0.6, 0.3])
-    with pytest.raises(ValueError):
-        power_sum_separation_check([2.0], [0.0], [0.5])
-    with pytest.raises(ValueError):
-        power_sum_separation_check([-1.0], [1.0], [0.5])
 
 
 # --- lattice scan ---------------------------------------------------------------------

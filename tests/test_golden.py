@@ -241,8 +241,8 @@ ERROR_ORDER = [
     (["search", "--bases", "3,5", "--limit", "100", "--driver-base", "7"], 2, 2),
     (["search", "--bases", "3,5", "--specs", "3:1/2", "--limit", "100"], 2, 2),
     (["conditions", "threshold", "--r", "3"], 2, 2),
-    (["search", "--bases", "3,5", "--limit", "100", "--checkpoint", "c.json"], 0, 2),
-    (["conditions", "egrs", "--bases", "3,5,7"], 0, 2),
+    (["search", "--bases", "3,5", "--limit", "100", "--checkpoint", "c.json"], 2, 2),
+    (["conditions", "egrs", "--bases", "3,5,7"], 2, 2),
     (["egrs", "--g1", "4", "--g2", "6", "--start", "3"], 0, 1),
     (["search", "--specs", "3:1/2,5:1/2", "--limit", str(10**12), "--budget", "100"], 0, 3),
     (["search", "--bases", "3,5", "--limit", "100", "--checkpoint", "c.json",

