@@ -15,9 +15,8 @@ It tests the shared digits inline against each base's largest small
 digit (computed once per BaseSpec) and stops at the first large one.
 
 The Graham census (every n <= limit with C(2n, n) coprime to some primes)
-takes the other route, Kummer's theorem: a numpy sieve that drops n at its
-first base-p digit d with 2d >= p. It never calls the walk, so the two
-check each other.
+is the same walk: by Kummer's theorem p does not divide C(2n, n) exactly
+when every base-p digit of n is below p/2, which is the spec p:1/2.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .digits import BaseSpec, to_digits
 from .digits import large_digit_count  # unused here; bench/tracer.py wraps it
@@ -329,49 +326,22 @@ def density_vs_heuristic(
     return DensityReport(tuple(specs), thresholds, tuple(counts), slope, heuristic)
 
 
-# n per numpy block of the census: 64 KB int64 arrays. Larger blocks gain no
-# time and raise the peak RSS.
-_CENSUS_BLOCK = 1 << 13
-
-
-def _census_survivors(lo: int, hi: int, primes: Sequence[int]) -> list[int]:
-    """The n in [lo, hi) whose base-p digits are all below p/2 for every p
-    (Kummer: adding n to itself carries nowhere, so p does not divide
-    C(2n, n)), ascending. Each prime peels the digits of the survivors of
-    the previous ones only, one divmod per digit position, and drops an n
-    at its first digit d with 2d >= p. hi - 1 must fit in int64."""
-    n = np.arange(lo, hi, dtype=np.int64)
-    for p in primes:
-        half = (p - 1) // 2  # the largest digit d with 2d < p
-        if p >= hi:  # each n is one base-p digit (p may not fit in int64)
-            n = n[n <= min(half, hi - 1)]
-            continue
-        q, top = n, hi - 1  # the high parts still to peel, and the largest
-        while top:
-            q, d = np.divmod(q, p)
-            small = d <= half
-            n, q = n[small], q[small]
-            top //= p
-    return n.tolist()
-
-
 def graham_census(limit: int, primes: Sequence[int] = (3, 5, 7), budget: int = 10**6) -> list[GrahamSplit]:
     """Every n in [1, limit] whose central binomial coefficient is coprime to
-    all the given primes, ascending. This is a numpy digit sieve over blocks
-    of _CENSUS_BLOCK n (_census_survivors); each hit is then split with
-    graham_split. It never uses the digit-tree search, so the two
-    cross-check each other. Every prime is checked once, up front: a
-    composite raises ValueError even when no n would reach it. A limit
-    beyond int64 raises ValueError (the budget normally stops it first)."""
+    all the given primes, ascending: by Kummer's theorem, the walk of
+    multi_base_search on p:1/2 for each prime, each hit split with
+    graham_split. The budget caps the limit. The primes are checked once, up
+    front: a composite or a repeat raises ValueError even when no n would
+    reach it."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > budget:
         raise BudgetExceededError(f"census limit {limit} exceeds budget {budget}")
-    if limit > np.iinfo(np.int64).max:
-        raise ValueError(f"census limit {limit} does not fit in int64")
     primes = tuple(primes)
     for p in primes:
         _require_prime(p)
-    return [graham_split(n, primes)
-            for lo in range(1, limit + 1, _CENSUS_BLOCK)
-            for n in _census_survivors(lo, min(lo + _CENSUS_BLOCK, limit + 1), primes)]
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    # with no prime every n qualifies: a base with kappa = 1 never prunes
+    specs = tuple(BaseSpec(p) for p in primes) or (BaseSpec(2, 1),)
+    return [graham_split(n, primes) for n in multi_base_search(SearchSpec(specs, limit + 1))[1:]]

@@ -188,6 +188,15 @@ def test_census_rejects_composite_prime_even_when_never_reached(capsys):
     assert out == ""
 
 
+def test_census_rejects_duplicate_primes(capsys):
+    # 2,2 has no hit and 3,3 has some: both fail up front, with one message
+    for primes in ("2,2", "3,3"):
+        code, out, err = run_cli(["census", "--primes", primes, "--limit", "1000"], capsys)
+        assert code == 1
+        assert "error: primes must be distinct" in err
+        assert out == ""
+
+
 def test_equidist_discrepancy_honours_budget(capsys):
     argv = ["equidist", "discrepancy", "--bases", "3", "--L", "2", "--N", "2000000"]
     code, _, err = run_cli([*argv, "--budget", "10"], capsys)

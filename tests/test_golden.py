@@ -49,6 +49,10 @@ CASES = {
                          "--checkpoint", "{out}/c.json", "--hits", "{out}/h.txt",
                          "--checkpoint-every", "7"],
     "census": ["census", "--limit", "2000"],
+    # recorded while the census was a numpy sieve of its own: a driver that
+    # is not the first prime (102 rows), and three primes from 11 up
+    "census-driver-second": ["census", "--primes", "7,3", "--limit", "30000", "--all"],
+    "census-large-primes": ["census", "--primes", "11,13,17", "--limit", "200000"],
     # digit renders recorded before the chunked renderer: comma-separated
     # digits in a quoted CSV field, hits spanning three or more chunks
     # (hit 0 kept), and one value in bases on both sides of 512
@@ -96,6 +100,20 @@ GOLDEN = {
         "036faa25d6b92939967d8fbd64e2c7947d05c497acf02bb1937286c1b747575d",
         "bbb9208c7a8d15f0efeecd92c22c4206ad58c40207ccf9eda315411eeb5834b1",
         "fdff49c724a267791eba9a79819f229cfacb034cdb7e493be69b209a2839a394",
+    ),
+    "census-driver-second": (
+        0,
+        "a17d8184c473dc84a18cb4cdefb2d033e8a175bba18f563484f28cc856b26896",
+        "52f212a43054fc9b9a3ef5e2a5736d8daf92e1ef2788de4353950c69da9e95d0",
+        "c3b328efc4c56a2cc63ded51cfb692ca3633c091248b6488188087e7e24cad2c",
+        "dcf719a401c0664df7a533f9655ac44a993fe45a9ba8193cd81c24875e4705a2",
+    ),
+    "census-large-primes": (
+        0,
+        "85e97d60b70e0c8507c6a8204598174013e31f29652d8d8e363e34596c0ef4af",
+        "7a9394522374422893e09d023057d6d8b3f94cada0c571d03c4289081f20a942",
+        "fe62117fddc372a935e6b02c7d1d0d555f0171778d05b4b5792cddae7926b59c",
+        "02e39df556ea4736ccccb97ae1e4709391a03dc1b7951fa5697d5eb329fb0416",
     ),
     "conditions-conjecture": (
         0,

@@ -5,7 +5,9 @@ limit and keep those whose digits are all small in every base. The odometer
 enumerator must agree with it exactly, at every tested limit. The pruned
 digit-tree search is also checked against the odometer scan it replaced,
 and its checkpointed slices against the odometer slice loop, both kept here
-as references where they can run.
+as references where they can run. The Graham census runs on the same walk;
+its oracles are the numpy Kummer sieve it used to be and the scalar
+first-carry test.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -483,9 +486,9 @@ def test_resumable_search_rejects_bad_slice_inputs(tmp_path):
 
 
 def no_carry(n, p):
-    """The scalar census test the sieve replaced: True iff adding n to itself
-    in base p carries nowhere, i.e. p does not divide C(2n, n) (Kummer). The
-    first carry comes at the lowest digit d with 2d >= p."""
+    """The scalar first-carry test: True iff adding n to itself in base p
+    carries nowhere, i.e. p does not divide C(2n, n) (Kummer). The first
+    carry comes at the lowest digit d with 2d >= p."""
     while n:
         n, d = divmod(n, p)
         if 2 * d >= p:
@@ -497,13 +500,39 @@ def scalar_census(lo, hi, primes):
     return [n for n in range(lo, hi) if all(no_carry(n, p) for p in primes)]
 
 
+def sieve_census(lo, hi, primes, block=1 << 13):
+    """The n in [lo, hi) that no prime's first-carry test drops, ascending:
+    the numpy Kummer sieve that graham_census ran on before it moved onto
+    the walk. It takes int64 blocks of `block` n; each prime peels the
+    digits of the survivors of the previous ones only, one divmod per digit
+    position, and drops an n at its first digit d with 2d >= p. hi - 1 must
+    fit in int64."""
+    survivors = []
+    for start in range(lo, hi, block):
+        end = min(start + block, hi)
+        n = np.arange(start, end, dtype=np.int64)
+        for p in primes:
+            half = (p - 1) // 2  # the largest digit d with 2d < p
+            if p >= end:  # each n is one base-p digit (p may not fit in int64)
+                n = n[n <= min(half, end - 1)]
+                continue
+            q, top = n, end - 1  # the high parts still to peel, and the largest
+            while top:
+                q, d = np.divmod(q, p)
+                small = d <= half
+                n, q = n[small], q[small]
+                top //= p
+        survivors += n.tolist()
+    return survivors
+
+
 CENSUS_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 
 @st.composite
 def census_cases(draw):
     primes = tuple(draw(st.lists(st.sampled_from(CENSUS_PRIMES), min_size=1, max_size=4, unique=True)))
-    block = draw(st.sampled_from([1, 2, 7, 64, searcher._CENSUS_BLOCK]))
+    block = draw(st.sampled_from([1, 2, 7, 64, 1 << 13]))
     edge = st.builds(lambda k, e: max(1, k * block + e), st.integers(1, 4), st.integers(-1, 1))
     limit = draw(st.one_of(edge, st.integers(1, min(3 * 10**5, 500 * block))))
     return primes, block, limit
@@ -513,31 +542,32 @@ def census_cases(draw):
 @given(census_cases())
 def test_census_sieve_equals_scalar_oracle(case):
     primes, block, limit = case
-    with mock.patch.object(searcher, "_CENSUS_BLOCK", block):
-        hits = graham_census(limit, primes, budget=limit)
-    assert [s.n for s in hits] == scalar_census(1, limit + 1, primes)
+    hits = [s.n for s in graham_census(limit, primes, budget=limit)]
+    assert hits == sieve_census(1, limit + 1, primes, block) == scalar_census(1, limit + 1, primes)
 
 
 def test_census_sieve_at_every_block_edge():
     for primes in ((3, 5, 7), (5,), (2, 3), (11, 13), (17, 3)):
         for block in (1, 2, 7):
-            with mock.patch.object(searcher, "_CENSUS_BLOCK", block):
-                for limit in range(1, 6 * block + 2):
-                    assert [s.n for s in graham_census(limit, primes)] == scalar_census(1, limit + 1, primes)
+            for limit in range(1, 6 * block + 2):
+                assert sieve_census(1, limit + 1, primes, block) == scalar_census(1, limit + 1, primes)
 
 
-def test_census_rejects_a_limit_beyond_int64():
-    with pytest.raises(ValueError, match="int64"):
-        graham_census(2**63, budget=2**64)
+def test_census_runs_beyond_int64():
+    limit = 2**63 + 1000
+    hits = [s.n for s in graham_census(limit, budget=2**64)]
+    assert hits and hits[-1] <= limit
+    assert all(no_carry(n, p) for n in hits for p in (3, 5, 7))
+    assert [n for n in hits if n <= 3 * 10**5] == sieve_census(1, 3 * 10**5 + 1, (3, 5, 7))
     with pytest.raises(BudgetExceededError):
-        graham_census(2**63)  # the default budget stops it first
-    # the top of the int64 range sieves exactly, with a prime inside int64
-    # (two base-p digits) and one beyond it (one digit, never divided)
+        graham_census(limit)  # the default budget stops it
+    # the oracle is exact at the top of the int64 range, with a prime inside
+    # int64 (two base-p digits) and one beyond it (one digit, never divided)
     top = 2**63 - 1
     primes = (2**61 - 1, 2**89 - 1)
-    survivors = searcher._census_survivors(top - 200, top + 1, primes)
+    survivors = sieve_census(top - 200, top + 1, primes)
     assert survivors == scalar_census(top - 200, top + 1, primes) and survivors
-    small_p = searcher._census_survivors(1, 100, (101,))
+    small_p = sieve_census(1, 100, (101,))
     assert small_p == scalar_census(1, 100, (101,)) == list(range(1, 51))
 
 
@@ -556,13 +586,10 @@ def test_graham_census_limit_one():
 
 def test_census_duality_with_search():
     # coprimality of C(2n,n) to 3*5*7 is exactly the half-threshold digit
-    # condition in bases 3, 5, 7 (carry counting), so the two independent
-    # code paths must agree hit for hit.
+    # condition in bases 3, 5, 7 (carry counting). The census runs on the
+    # search's walk, so the independent route is the sieve oracle.
     limit = 10**6
-    census_hits = [s.n for s in graham_census(limit)]
-    specs = tuple(BaseSpec(p, HALF) for p in (3, 5, 7))
-    search_hits = [n for n in multi_base_search(SearchSpec(specs, limit + 1)) if n >= 1]
-    assert census_hits == search_hits
+    assert [s.n for s in graham_census(limit)] == sieve_census(1, limit + 1, (3, 5, 7))
 
 
 def test_census_budget():
@@ -572,7 +599,7 @@ def test_census_budget():
 
 def test_census_equals_full_valuation_scan():
     # the loop the early-exit census replaced: every valuation, every n
-    for primes in ((3, 5, 7), (2,), (5,), (11, 13), (3, 17), (7, 3)):
+    for primes in ((3, 5, 7), (2,), (5,), (11, 13), (3, 17), (7, 3), ()):
         expected = [graham_split(n, primes) for n in range(1, 3001)
                     if all(central_binom_valuation(n, p) == 0 for p in primes)]
         assert graham_census(3000, primes) == expected
@@ -586,6 +613,8 @@ def test_census_tests_each_prime_once_up_front():
     assert spy.call_count == 3 + 3 * len(hits)
     with pytest.raises(ValueError, match="4 is not prime"):
         graham_census(1000, (2, 4))  # no n gets past 2, so the scan never meets 4
+    with pytest.raises(ValueError, match="primes must be distinct"):
+        graham_census(1000, (2, 2))  # no n gets past 2 either
 
 
 def test_census_rows_match_graham_split():
