@@ -5,6 +5,10 @@ all semantic parameters); the manifest hash names the output directory, and
 rerunning with the same manifest produces byte-identical result files. Wall
 time and tool version live only in manifest.json, never in results.
 
+Every dataclass is written to JSON as its fields, a Fraction as 'p/q', and
+a type whose format differs from its fields (big integers as strings,
+renamed or added keys) by its own to_json_dict.
+
 Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 indeterminate
 comparison.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -24,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .constructors import BlockConfig, block_construct, egrs_construct, stability_check
+from .constructors import BaseAudit, BlockConfig, block_construct, egrs_construct, stability_check
 from .criteria import (
     conjecture_sum,
     egrs_condition,
@@ -60,6 +65,13 @@ EXIT_INDETERMINATE = 4
 _JSON_HITS_CAP = 100_000
 _SEARCH_BUDGET = 10**7  # search --budget: digit-tree nodes of a one-shot search
 _CHECKPOINT_EVERY = 10_000  # search --checkpoint-every: driver candidates
+# the flags each equidist mode reads, with their defaults; the parser
+# defaults them to None so that a flag the mode does not read is an error
+_EQUIDIST_FLAGS = {
+    "frac": {"n": 1},
+    "census": {"N": 10**5, "epsilons": (0.1, 0.05, 0.01), "dps": 50, "budget": 10**6},
+    "discrepancy": {"N": 10**5, "grid": None, "budget": 10**6},
+}
 
 
 # --- argument parsing helpers -------------------------------------------------
@@ -125,8 +137,19 @@ def _resolve_specs(args, default: str = "3:1/2,5:1/2,7:1/2") -> tuple[BaseSpec, 
 # --- manifest and output plumbing ---------------------------------------------
 
 
+def _jsonable(obj):
+    """json.dumps' default: the one JSON rule for result types."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_jsonable) + "\n"
 
 
 def _manifest_hash(subcommand: str, params: dict) -> str:
@@ -191,7 +214,7 @@ def _run(args, params: dict, body: Callable[[], tuple]) -> int:
 
 def _cmd_digits(args) -> int:
     specs = _resolve_specs(args)
-    params = {"n": str(args.n), "specs": [s.to_json_dict() for s in specs]}
+    params = {"n": str(args.n), "specs": specs}
 
     def body():
         renders = [to_digits(args.n, s.g).render() for s in specs]
@@ -203,7 +226,7 @@ def _cmd_digits(args) -> int:
         result = {
             "n": str(args.n),
             "bases": [
-                {**s.to_json_dict(), "rendered": r, "digit_count": total, "large_count": large}
+                {**_jsonable(s), "rendered": r, "digit_count": total, "large_count": large}
                 for s, r, (total, large) in zip(specs, renders, profile)
             ],
         }
@@ -226,7 +249,7 @@ def _cmd_kummer(args) -> int:
         print(f"n2 = {split.n2}")
         print(f"log(n2)/log(n) = {split.n2_log_ratio}")
         header = ["n", *[f"v_{p}" for p in split.primes], "n2", "log_ratio"]
-        return split.to_json_dict(), header, [split.csv_row()], EXIT_OK
+        return _jsonable(split), header, [split.csv_row()], EXIT_OK
 
     return _run(args, params, body)
 
@@ -268,7 +291,7 @@ def _cmd_egrs(args) -> int:
             )
         rows = [[s.exponent, s.times, s.offender_position, str(s.value)] for s in trace.steps]
         header = ["exponent", "times", "offender_position", "value"]
-        return trace.to_json_dict(), header, rows, EXIT_OK
+        return _jsonable(trace), header, rows, EXIT_OK
 
     return _run(args, params, body)
 
@@ -276,7 +299,7 @@ def _cmd_egrs(args) -> int:
 def _cmd_blocks(args) -> int:
     specs = _resolve_specs(args, default="3:1/2,5:1/2")
     cfg = BlockConfig(specs, args.ell, args.L, args.H, args.c_pad, args.N)
-    params = cfg.to_json_dict()
+    params = _jsonable(cfg)
 
     def body():
         trace = block_construct(cfg)
@@ -295,16 +318,9 @@ def _cmd_blocks(args) -> int:
             stability_check(trace, n, spec) for n in range(cfg.N + 1) for spec in cfg.specs
         )
         print(f"stability: {'ok' if stable else 'VIOLATED'}")
-        header = [
-            "g", "total_digits", "large_total", "good_window_positions", "good_window_large",
-            "bad_window_positions", "bad_window_large", "fringe_positions", "fringe_large",
-        ]
-        rows = [
-            [a.g, a.total_digits, a.large_total, a.good_window_positions, a.good_window_large,
-             a.bad_window_positions, a.bad_window_large, a.fringe_positions, a.fringe_large]
-            for a in trace.audits
-        ]
-        result = trace.to_json_dict()
+        header = [f.name for f in dataclasses.fields(BaseAudit)]
+        rows = [dataclasses.astuple(a) for a in trace.audits]
+        result = _jsonable(trace)
         result["stability_ok"] = stable
         return result, header, rows, EXIT_OK
 
@@ -316,14 +332,7 @@ def _cmd_spectrum(args) -> int:
     query = SpectrumQuery(
         family, K=args.K, eta=args.eta, M=args.M, delta=args.delta, budget=args.budget
     )
-    params = {
-        "family": family.to_json_dict(),
-        "K": args.K,
-        "eta": args.eta,
-        "M": args.M,
-        "delta": args.delta,
-        "budget": args.budget,
-    }
+    params = _jsonable(query)
 
     def body():
         hits = large_spectrum_enumerate(query)
@@ -338,7 +347,7 @@ def _cmd_spectrum(args) -> int:
         size = family.size
         rows = [[k, mag, mag / size] for k, mag in hits]
         result = {
-            "query": query.to_json_dict(),
+            "query": query,
             "count": len(hits),
             "bound": bound.value,
             "exponent": bound.exponent,
@@ -376,7 +385,7 @@ def _cmd_bump(args) -> int:
             ["envelope_violations", report.envelope_violations],
             ["support_leak", report.support_leak],
         ]
-        return report.to_json_dict(), ["quantity", "value"], rows, EXIT_OK
+        return _jsonable(report), ["quantity", "value"], rows, EXIT_OK
 
     return _run(args, params, body)
 
@@ -388,9 +397,17 @@ def _make_system(args) -> ExponentSystem:
 
 
 def _cmd_equidist(args) -> int:
+    reads = _EQUIDIST_FLAGS[args.mode]
+    ignored = sorted({f"--{name}" for flags in _EQUIDIST_FLAGS.values() for name in flags
+                      if name not in reads and getattr(args, name) is not None})
+    if ignored:
+        raise argparse.ArgumentTypeError(f"equidist {args.mode} does not read {', '.join(ignored)}")
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     system = _make_system(args)
     if args.mode == "frac":
-        params = {"system": system.to_json_dict(), "mode": "frac", "n": args.n}
+        params = {"system": system, "mode": "frac", "n": args.n}
 
         def body():
             values, err = frac_exponents(system, args.n)
@@ -400,7 +417,7 @@ def _cmd_equidist(args) -> int:
             norm = power_sum_norm(system, args.n)
             print(f"power-sum norm = {norm.value} (err {norm.err})")
             result = {
-                "system": system.to_json_dict(),
+                "system": system,
                 "n": args.n,
                 "values": list(values),
                 "err": err,
@@ -413,7 +430,7 @@ def _cmd_equidist(args) -> int:
     elif args.mode == "census":
         eps = [float(e) for e in args.epsilons]
         params = {
-            "system": system.to_json_dict(),
+            "system": system,
             "mode": "census",
             "N": args.N,
             "epsilons": eps,
@@ -429,12 +446,12 @@ def _cmd_equidist(args) -> int:
                   f"(reference 1/r = {report.reference_exponent})")
             rows = [[e.epsilon, e.count, e.indeterminate] for e in report.entries]
             indeterminate = any(e.indeterminate for e in report.entries)
-            return (report.to_json_dict(), ["epsilon", "count", "indeterminate"], rows,
+            return (_jsonable(report), ["epsilon", "count", "indeterminate"], rows,
                     EXIT_INDETERMINATE if indeterminate else EXIT_OK)
 
     else:  # discrepancy
         params = {
-            "system": system.to_json_dict(),
+            "system": system,
             "mode": "discrepancy",
             "N": args.N,
             "grid": args.grid,
@@ -443,7 +460,7 @@ def _cmd_equidist(args) -> int:
         def body():
             est = discrepancy_estimate(system, args.N, grid=args.grid, budget=args.budget)
             print(f"discrepancy estimate at N={args.N}: {est}")
-            result = {"system": system.to_json_dict(), "N": args.N, "grid": args.grid,
+            result = {"system": system, "N": args.N, "grid": args.grid,
                       "estimate": est}
             return result, ["N", "estimate"], [[args.N, est]], EXIT_OK
 
@@ -452,7 +469,7 @@ def _cmd_equidist(args) -> int:
 
 def _cmd_lattice(args) -> int:
     system = _make_system(args)
-    params = {"system": system.to_json_dict(), "M": args.M, "budget": args.budget}
+    params = {"system": system, "M": args.M, "budget": args.budget}
 
     def body():
         result = lattice_min_combination(system, args.M, budget=args.budget)
@@ -461,7 +478,7 @@ def _cmd_lattice(args) -> int:
         print(f"reference M^-r = {result.reference}")
         print(f"fixed-point error <= {result.err}")
         row = [args.M, result.min_norm, " ".join(map(str, result.argmin)), result.reference]
-        return result.to_json_dict(), ["M", "min_norm", "argmin", "reference"], [row], EXIT_OK
+        return _jsonable(result), ["M", "min_norm", "argmin", "reference"], [row], EXIT_OK
 
     return _run(args, params, body)
 
@@ -489,7 +506,7 @@ def _cmd_conditions(args) -> int:
             header = ["form", "r", "kappa", "min_g", "min_pow10_exponent"]
             row = [args.form, args.r, str(args.kappa), str(result.min_g),
                    result.min_pow10_exponent]
-            return result.to_json_dict(), header, [row], EXIT_OK
+            return _jsonable(result), header, [row], EXIT_OK
 
         return _run(args, params, body)
 
@@ -497,7 +514,7 @@ def _cmd_conditions(args) -> int:
     if mode == "egrs" and len(specs) != 2:
         raise argparse.ArgumentTypeError("egrs condition needs exactly two specs")
     r = args.r if args.r is not None else len(specs)
-    params = {"condition": mode, "specs": [s.to_json_dict() for s in specs], "r": r}
+    params = {"condition": mode, "specs": specs, "r": r}
 
     def body():
         if mode == "conjecture":
@@ -515,7 +532,7 @@ def _cmd_conditions(args) -> int:
         else:
             print("SATISFIED" if report.satisfied else "NOT SATISFIED")
         rows = [[t.g, t.kappa, t.value] for t in report.terms]
-        return (report.to_json_dict(), ["g", "kappa", "term"], rows,
+        return (_jsonable(report), ["g", "kappa", "term"], rows,
                 EXIT_INDETERMINATE if report.indeterminate else EXIT_OK)
 
     return _run(args, params, body)
@@ -545,7 +562,7 @@ def _cmd_search(args) -> int:
         driver = gs.index(args.driver_base)
     search = SearchSpec(specs, args.limit, driver)
     params = {
-        "search": search.to_json_dict(),
+        "search": search,
         "drop_zero": args.drop_zero,
         "budget": budget,
         "resumable": bool(args.checkpoint),
@@ -577,7 +594,7 @@ def _cmd_search(args) -> int:
         if len(shown) < len(hits):
             print(f"  ... ({len(hits) - len(shown)} more)")
         result = {
-            "search": search.to_json_dict(),
+            "search": search,
             "count": len(hits),
             "finished": finished,
             "hits": names[:_JSON_HITS_CAP],
@@ -605,7 +622,7 @@ def _cmd_census(args) -> int:
             "limit": args.limit,
             "primes": list(args.primes),
             "count": len(splits),
-            "hits": [s.to_json_dict() for s in splits],
+            "hits": splits,
         }
         return result, header, [s.csv_row() for s in splits], EXIT_OK
 
@@ -685,14 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, help="defaults to L")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--zetas", type=_int_list, help="weights, default all ones")
-    p.add_argument("--n", type=int, default=1, help="frac mode: which multiple")
-    p.add_argument("--N", type=int, default=10**5)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--n", type=int, help="frac mode: which multiple (default 1)")
+    p.add_argument("--N", type=int, help="census and discrepancy modes (default 10^5)")
+    p.add_argument("--grid", type=int, help="discrepancy mode")
     p.add_argument("--epsilons", type=lambda t: tuple(float(x) for x in t.split(",")),
-                   default=(0.1, 0.05, 0.01))
-    p.add_argument("--dps", type=int, default=50)
-    p.add_argument("--budget", type=int, default=10**6,
-                   help="census and discrepancy modes: largest N")
+                   help="census mode (default 0.1,0.05,0.01)")
+    p.add_argument("--dps", type=int, help="census mode (default 50)")
+    p.add_argument("--budget", type=int,
+                   help="census and discrepancy modes: largest N (default 10^6)")
     p.set_defaults(handler=_cmd_equidist)
 
     p = sub.add_parser("lattice", parents=[common], help="exhaustive lattice minimum")

@@ -263,16 +263,6 @@ class BlockConfig:
         hi = math.floor(Fraction(self.L ** (n + 1)) / self.C_pad)
         return (lo, hi) if lo <= hi else None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "specs": [s.to_json_dict() for s in self.specs],
-            "ell": self.ell,
-            "L": self.L,
-            "H": self.H,
-            "C_pad": str(self.C_pad),
-            "N": self.N,
-        }
-
 
 def _window_clean(value: int, windows: Sequence[tuple[int, int, int, int]]) -> bool:
     """True when no digit of value inside any window is large. Each window
@@ -321,19 +311,6 @@ class BaseAudit:
     fringe_positions: int
     fringe_large: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "total_digits": self.total_digits,
-            "large_total": self.large_total,
-            "good_window_positions": self.good_window_positions,
-            "good_window_large": self.good_window_large,
-            "bad_window_positions": self.bad_window_positions,
-            "bad_window_large": self.bad_window_large,
-            "fringe_positions": self.fringe_positions,
-            "fringe_large": self.fringe_large,
-        }
-
 
 @dataclass(frozen=True)
 class BlockTrace:
@@ -372,12 +349,12 @@ class BlockTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": self.config.to_json_dict(),
-            "shifts": list(self.shifts),
-            "good_blocks": list(self.good_blocks),
-            "bad_blocks": list(self.bad_blocks),
+            "config": self.config,
+            "shifts": self.shifts,
+            "good_blocks": self.good_blocks,
+            "bad_blocks": self.bad_blocks,
             "b": str(self.b),
-            "audits": [a.to_json_dict() for a in self.audits],
+            "audits": self.audits,
             "summary": {str(k): v for k, v in self.summarize().items()},
         }
 

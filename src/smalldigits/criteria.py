@@ -69,11 +69,25 @@ def _log_ratio_base_g(ratio: Fraction, g: int):
     return (mp.log(ratio.numerator) - mp.log(ratio.denominator)) / mp.log(g)
 
 
-def _sum_report(name, specs, ratios, threshold: Fraction, dps: int) -> ConditionReport:
+def _ratio_threshold(form: str, g: int, kappa: Fraction, r: int) -> tuple[Fraction, Fraction]:
+    """Per-base ratio A and threshold c of a sum condition over r bases:
+    sum_j log_{g_j}(A_j) < c."""
+    if form == "conjecture":
+        return Fraction(g, math.ceil(kappa * g)), Fraction(1)
+    if form == "theorem":
+        return Fraction(320 * r**5) / kappa, Fraction(1, 2 * r)
+    if form == "prop":
+        return Fraction(10 * g, math.ceil(kappa * g / (32 * r**5))), Fraction(1, 2 * r)
+    raise ValueError(f"unknown condition {form!r}")
+
+
+def _sum_report(form: str, specs, r: int, dps: int) -> ConditionReport:
+    pairs = [_ratio_threshold(form, s.g, s.kappa, r) for s in specs]
+    threshold = pairs[0][1]
     with mp.workdps(dps):
         terms = []
         total = mp.mpf(0)
-        for spec, ratio in zip(specs, ratios):
+        for spec, (ratio, _) in zip(specs, pairs):
             t = _log_ratio_base_g(ratio, spec.g)
             terms.append(ConditionTerm(spec.g, str(spec.kappa), float(t)))
             total += t
@@ -85,7 +99,7 @@ def _sum_report(name, specs, ratios, threshold: Fraction, dps: int) -> Condition
         satisfied = bool(total < thr)
         value_str = mp.nstr(total, dps - 5)
     return ConditionReport(
-        name=name,
+        name=f"{form}_sum",
         value=float(total),
         value_str=value_str,
         threshold=float(threshold),
@@ -105,8 +119,7 @@ def conjecture_sum(specs: Sequence[BaseSpec], dps: int = 40) -> ConditionReport:
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one base")
-    ratios = [Fraction(s.g, math.ceil(s.kappa * s.g)) for s in specs]
-    return _sum_report("conjecture_sum", specs, ratios, Fraction(1), dps)
+    return _sum_report("conjecture", specs, len(specs), dps)
 
 
 def theorem_sum(specs: Sequence[BaseSpec], r: int, dps: int = 40) -> ConditionReport:
@@ -114,8 +127,7 @@ def theorem_sum(specs: Sequence[BaseSpec], r: int, dps: int = 40) -> ConditionRe
     specs = tuple(specs)
     if r != len(specs):
         raise ValueError(f"r={r} does not match {len(specs)} bases")
-    ratios = [Fraction(320 * r**5) / s.kappa for s in specs]
-    return _sum_report("theorem_sum", specs, ratios, Fraction(1, 2 * r), dps)
+    return _sum_report("theorem", specs, r, dps)
 
 
 def prop_sum(specs: Sequence[BaseSpec], r: int, dps: int = 40) -> ConditionReport:
@@ -123,11 +135,7 @@ def prop_sum(specs: Sequence[BaseSpec], r: int, dps: int = 40) -> ConditionRepor
     specs = tuple(specs)
     if r != len(specs):
         raise ValueError(f"r={r} does not match {len(specs)} bases")
-    ratios = []
-    for s in specs:
-        c = math.ceil(s.kappa * s.g / (32 * r**5))
-        ratios.append(Fraction(10 * s.g, c))
-    return _sum_report("prop_sum", specs, ratios, Fraction(1, 2 * r), dps)
+    return _sum_report("prop", specs, r, dps)
 
 
 def egrs_condition(spec1: BaseSpec, spec2: BaseSpec) -> ConditionReport:
@@ -176,18 +184,7 @@ class EqualBaseThreshold:
 
 def _equal_base_satisfied(condition: str, r: int, kappa: Fraction, g: int) -> bool:
     # r equal terms: sum < c/d  <=>  (A^r)^d < g^c, exact in integers.
-    if condition == "conjecture":
-        a = Fraction(g, math.ceil(kappa * g))
-        threshold = Fraction(1)
-    elif condition == "theorem":
-        a = Fraction(320 * r**5) / kappa
-        threshold = Fraction(1, 2 * r)
-    elif condition == "prop":
-        c = math.ceil(kappa * g / (32 * r**5))
-        a = Fraction(10 * g, c)
-        threshold = Fraction(1, 2 * r)
-    else:
-        raise ValueError(f"unknown condition {condition!r}")
+    a, threshold = _ratio_threshold(condition, g, kappa, r)
     lhs = (a**r) ** threshold.denominator
     rhs = Fraction(g) ** threshold.numerator
     return lhs < rhs

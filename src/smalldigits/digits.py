@@ -101,9 +101,6 @@ class DigitVector:
         """Human form '(d_m...d_1d_0)_g', most-significant digit first."""
         return render_many((from_digits(self),), self.base)[0]
 
-    def to_json_dict(self) -> dict:
-        return {"base": self.base, "digits_lsb": list(self.digits)}
-
 
 def to_digits(n: int, g: int) -> DigitVector:
     """Expand n >= 0 in base g >= 2."""

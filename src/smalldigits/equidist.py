@@ -237,14 +237,6 @@ class CensusEntry:
     indeterminate: int
     examples: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "count": self.count,
-            "indeterminate": self.indeterminate,
-            "examples": list(self.examples),
-        }
-
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -261,16 +253,6 @@ class CensusReport:
     empirical_exponent: Optional[float]
     fit_residuals: tuple[float, ...]
     reference_exponent: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "dps": self.dps,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "empirical_exponent": self.empirical_exponent,
-            "fit_residuals": list(self.fit_residuals),
-            "reference_exponent": self.reference_exponent,
-        }
 
 
 def bad_n_census(
@@ -428,16 +410,6 @@ class LatticeResult:
     reference: float
     err: float
     vectors_scanned: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "min_norm": self.min_norm,
-            "argmin": list(self.argmin),
-            "reference": self.reference,
-            "err": self.err,
-            "vectors_scanned": self.vectors_scanned,
-        }
 
 
 def lattice_min_combination(sys: ExponentSystem, M: int, budget: int = 10**7) -> LatticeResult:

@@ -56,9 +56,6 @@ class SmallDigitFamily:
     def size(self) -> int:
         return self.t**self.R
 
-    def to_json_dict(self) -> dict:
-        return {"g": self.g, "t": self.t, "R": self.R}
-
 
 def _sin_pi(num: int, den: int) -> float:
     """sin(pi * num/den) with the argument folded exactly into [0, 1/2]."""
@@ -173,16 +170,6 @@ class SpectrumQuery:
             K += 1
         return K
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "K": self.K,
-            "eta": self.eta,
-            "M": self.M,
-            "delta": self.delta,
-            "budget": self.budget,
-        }
-
 
 def large_spectrum_enumerate(query: SpectrumQuery) -> list[tuple[int, float]]:
     """All k in the query range with |S(k)| >= eta * t^R, sorted by k.
@@ -251,13 +238,6 @@ class SpectrumBound:
     query: SpectrumQuery
     value: float
     exponent: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "query": self.query.to_json_dict(),
-            "value": self.value,
-            "exponent": self.exponent,
-        }
 
 
 def spectrum_bound(query: SpectrumQuery) -> SpectrumBound:
@@ -374,9 +354,6 @@ class BumpParams:
     def coefficients(self) -> tuple[float, ...]:
         return tuple(1.0 / (4.0 * j * j) for j in range(1, self.J + 1))
 
-    def to_json_dict(self) -> dict:
-        return {"delta": self.delta, "J": self.J}
-
 
 def bump_fourier_coeff(params: BumpParams, k: int) -> float:
     """psihat(k) = prod_j sinc^2(pi c_j delta k); k = 0 gives exactly 1."""
@@ -402,20 +379,6 @@ class BumpReport:
     first_violation: Optional[int]
     support_leak: float
     support_points: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "tail_cap": self.tail_cap,
-            "coeff_at_zero": self.coeff_at_zero,
-            "coeff_sum": self.coeff_sum,
-            "tail_bound": self.tail_bound,
-            "sum_bound": self.sum_bound,
-            "envelope_violations": self.envelope_violations,
-            "first_violation": self.first_violation,
-            "support_leak": self.support_leak,
-            "support_points": list(self.support_points),
-        }
 
 
 def bump_property_report(

@@ -88,7 +88,8 @@ class GrahamSplit:
             "primes": list(self.primes),
             "valuations": dict(zip(map(str, self.primes), self.valuations)),
             "n2": self.n2,
-            "n2_log_ratio": self.n2_log_ratio,
+            # n = 1 with n2 > 1 gives inf, which strict JSON cannot hold
+            "n2_log_ratio": self.n2_log_ratio if math.isfinite(self.n2_log_ratio) else None,
         }
 
     def csv_row(self) -> list:

@@ -284,15 +284,6 @@ class DensityReport:
     empirical_exponent: Optional[float]
     heuristic_exponent: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "specs": [s.to_json_dict() for s in self.specs],
-            "thresholds": list(self.thresholds),
-            "counts": list(self.counts),
-            "empirical_exponent": self.empirical_exponent,
-            "heuristic_exponent": self.heuristic_exponent,
-        }
-
 
 def density_vs_heuristic(
     specs: Sequence[BaseSpec], thresholds: Sequence[int], budget: Optional[int] = 10**7

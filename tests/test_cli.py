@@ -1,14 +1,17 @@
 """End-to-end command-line tests: exit codes, manifest plumbing, and
 byte-for-byte determinism of the result files."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import smalldigits
+from smalldigits import cli
 from smalldigits.cli import main
 
 
@@ -303,3 +306,69 @@ def test_search_flags_of_the_other_mode_are_usage_errors(capsys, tmp_path):
         assert exc.value.code == 2
         assert "--checkpoint" in capsys.readouterr().err
     assert not os.path.exists(ckpt) and not os.path.exists(hits)
+
+
+# --- the JSON rule for result types ------------------------------------------------
+
+
+HALF = Fraction(1, 2)
+
+
+def test_field_formats_match_the_methods_they_replaced():
+    # the dicts the hand-written to_json_dict methods of these two types
+    # returned; no golden run writes either type
+    density = smalldigits.density_vs_heuristic((smalldigits.BaseSpec(3, HALF),
+                                                smalldigits.BaseSpec(5, HALF)), (100, 1000))
+    assert json.loads(cli._canonical(density)) == {
+        "specs": [{"g": 3, "kappa": "1/2"}, {"g": 5, "kappa": "1/2"}],
+        "thresholds": [100, 1000],
+        "counts": [9, 19],
+        "empirical_exponent": 0.32451109151350405,
+        "heuristic_exponent": 0.31353594805744267,
+    }
+    query = smalldigits.SpectrumQuery(smalldigits.SmallDigitFamily(5, 3, 2), M=50, delta=0.1)
+    assert json.loads(cli._canonical(smalldigits.spectrum_bound(query))) == {
+        "query": {"family": {"g": 5, "t": 3, "R": 2}, "K": None, "eta": None, "M": 50,
+                  "delta": 0.1, "budget": 10000000},
+        "value": 13456.810316576331,
+        "exponent": 2.380525895621084,
+    }
+
+
+def test_every_public_dataclass_encodes_as_strict_json():
+    specs = (smalldigits.BaseSpec(3, HALF), smalldigits.BaseSpec(5, HALF))
+    config = smalldigits.BlockConfig(specs, 2, 16, 32, Fraction(2), 8)
+    egrs = smalldigits.egrs_construct(3, 5, HALF, HALF, 12)
+    bump = smalldigits.BumpParams(0.25, 2)
+    family = smalldigits.SmallDigitFamily(5, 3, 2)
+    instances = {
+        "BaseSpec": specs[0],
+        "BlockConfig": config,
+        "BlockTrace": smalldigits.block_construct(config),
+        "BumpParams": bump,
+        "BumpReport": smalldigits.bump_property_report(bump, 4000),
+        "ConditionReport": smalldigits.conjecture_sum(specs),
+        "DensityReport": smalldigits.density_vs_heuristic(specs, (100, 1000)),
+        "DigitVector": smalldigits.to_digits(756, 3),
+        "EgrsTrace": egrs,
+        "EqualBaseThreshold": smalldigits.equal_base_threshold(2, HALF, "conjecture"),
+        "ExponentSystem": smalldigits.ExponentSystem((3, 5), 2, 2),
+        "GrahamSplit": smalldigits.graham_split(1, (2, 3)),  # log ratio inf
+        "RepairMove": egrs.steps[0],
+        "SearchSpec": smalldigits.SearchSpec(specs, 3000),
+        "SmallDigitFamily": family,
+        "SpectrumQuery": smalldigits.SpectrumQuery(family, K=2, eta=0.5),
+    }
+    public = {name for name, value in vars(smalldigits).items()
+              if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert public == set(instances)
+    for name, obj in instances.items():
+        assert type(obj).__name__ == name
+        assert isinstance(json.loads(cli._canonical(obj)), dict), name
+    assert json.loads(cli._canonical(instances["DigitVector"])) == {
+        "base": 3, "digits": [0, 0, 0, 1, 0, 0, 1]}
+
+
+def test_jsonable_rejects_a_plain_object():
+    with pytest.raises(TypeError):
+        cli._jsonable(object())

@@ -4,9 +4,10 @@ Each case runs the CLI twice, once with `--out DIR` and once with
 `--dry-run`, and compares sha256 digests of result.json, result.csv, the
 printed report (with DIR replaced by a placeholder) and the dry-run
 manifest against values recorded before the CLI and the digit-window code
-were refactored. The exit code is pinned too. A second table pins whether
-an error fires before `--dry-run` (the dry run fails) or only while
-computing (the dry run succeeds).
+were refactored. The exit code is pinned too, and every result.json and
+manifest.json must parse as strict JSON (no NaN or Infinity). A second
+table pins whether an error fires before `--dry-run` (the dry run fails)
+or only while computing (the dry run succeeds).
 
 After an intended change of output, print fresh digests with
 
@@ -16,6 +17,7 @@ After an intended change of output, print fresh digests with
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -59,6 +61,8 @@ CASES = {
     "search-wide": ["search", "--specs", "11:1/2,13:1", "--limit", "3000", "--all"],
     "search-chunks": ["search", "--specs", "2:1,3:1/2", "--limit", "1000000"],
     "digits-chunks": ["digits", str(10**40 + 123456789), "--bases", "2,3,16,512,513,600"],
+    # n = 1 has log(n2)/log(n) = inf, written as null in result.json
+    "kummer-n1": ["kummer", "1", "--primes", "2,3"],
 }
 
 # name -> (argv, slices): the argv runs `slices` times against one checkpoint.
@@ -192,6 +196,13 @@ GOLDEN = {
         "3ef563b17307be6fe0bd49f97b523b417d48e87e86004422b8777bedefd5cbcb",
         "aa5b141f954cedda511f7ccb7eabcd9d89e28b82b594cf7206eb986a1c18aa9a",
     ),
+    "kummer-n1": (
+        0,
+        "829d7fb8653d05b23ebda47ca5d436cdbf2fa7509989444263db626cb37dc256",
+        "03ea2532d47961e4588be3c516901d26c771ae03b3be77a55861b0d464038650",
+        "bc4fa42c6ca45767cd64b1511599111d471cf9078104854a94bd621aa010b628",
+        "898474159156736011732d7fa4617507e27fda1136c6571bac97b7ac4c301ccf",
+    ),
     "lattice": (
         0,
         "5778ca6c5888ecb0ddf41fdd5dcc03a5ab187ad0d9163a4a1090998b61acde72",
@@ -272,6 +283,11 @@ ERROR_ORDER = [
     (["search", "--bases", "3,5", "--limit", "100", "--checkpoint-every", "5"], 2, 2),
     (["search", "--specs", "3:1/2,5:1/2", "--limit", str(10**12), "--checkpoint", "c.json",
       "--hits", "h.json", "--budget", "100"], 2, 2),
+    (["equidist", "frac", "--bases", "3", "--L", "2", "--N", "5", "--grid", "4",
+      "--epsilons", "0.3", "--dps", "9", "--budget", "1"], 2, 2),
+    (["equidist", "census", "--bases", "3", "--L", "2", "--n", "4", "--grid", "4"], 2, 2),
+    (["equidist", "discrepancy", "--bases", "3", "--L", "2", "--epsilons", "0.3",
+      "--dps", "9", "--n", "4"], 2, 2),
 ]
 
 
@@ -294,6 +310,17 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _read_json(run_dir: str, name: str) -> bytes:
+    """The bytes of a result or manifest file, once they parse as strict JSON."""
+    data = _read(os.path.join(run_dir, name))
+    json.loads(data, parse_constant=_reject_constant)
+    return data
+
+
 def observe(argv, out_dir: str) -> tuple:
     argv = [a.replace("{out}", out_dir) for a in argv]
     code, report = _call([*argv, "--out", out_dir])
@@ -301,9 +328,10 @@ def observe(argv, out_dir: str) -> tuple:
     (run_hash,) = os.listdir(subdir)
     run_dir = os.path.join(subdir, run_hash)
     _, dry = _call([*argv, "--dry-run"])
+    _read_json(run_dir, "manifest.json")
     return (
         code,
-        _sha(_read(os.path.join(run_dir, "result.json"))),
+        _sha(_read_json(run_dir, "result.json")),
         _sha(_read(os.path.join(run_dir, "result.csv"))),
         _sha(report.replace(out_dir, "<out>").encode()),
         _sha(dry.encode()),
@@ -321,7 +349,8 @@ def observe_slices(argv, slices: int, out_dir: str) -> tuple:
         (run_hash,) = os.listdir(os.path.join(out_dir, argv[0]))
         run_dir = os.path.join(out_dir, argv[0], run_hash)
         codes.append(code)
-        results += _read(os.path.join(run_dir, "result.json"))
+        _read_json(run_dir, "manifest.json")
+        results += _read_json(run_dir, "result.json")
         tables += _read(os.path.join(run_dir, "result.csv"))
         reports += report.replace(out_dir, "<out>")
     _, dry = _call([*argv, "--dry-run"])
